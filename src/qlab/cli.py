@@ -10,6 +10,7 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -83,6 +84,27 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    value, limit = _positive_int(text), np.iinfo(np.int64).max
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"expected a count of at most {limit}, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -360,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-unitary", action="store_true", help="draw a seeded Haar unitary")
     p.add_argument("--permute-screens", type=_index_list, help="source screen order, e.g. 2,1")
     p.add_argument("--target-shape", type=_index_list, help="target detector counts (with --random-unitary)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_change_basis)
 
@@ -408,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--random-unitary", action="store_true")
     p.add_argument("--target-shape", type=_index_list)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_verify_basis_invariance)
 
@@ -416,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--ancilla-dim", type=_positive_int, default=2)
     p.add_argument("--trials", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_verify_factorization_invariance)
 
     p = sub.add_parser("sample", help="draw joint outcomes from the potentia table")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_count, required=True)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -432,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-powers", type=_positive_int)
     p.add_argument("--min-potentia", type=_fraction, default=1e-6)
-    p.add_argument("--width", type=float, default=640.0)
-    p.add_argument("--height", type=float, default=400.0)
+    p.add_argument("--width", type=_positive_float, default=640.0)
+    p.add_argument("--height", type=_positive_float, default=400.0)
     p.add_argument("--labels", action="store_true")
     common(p)
     p.set_defaults(func=cmd_render)

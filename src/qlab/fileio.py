@@ -24,26 +24,51 @@ pairs or duplicate amplitude indices are rejected. State amplitudes must have
 norm 1 within a loose load tolerance; a vector whose norm is off by more than
 a machine-level threshold is renormalized on load, anything closer keeps its
 stored values so round trips stay exact.
+
+A malformed file is reported at its first faulty record, in file order, as
+`entries[i].<field>` or `amplitudes[i].<field>`; within a record the checks
+run in the order object, index fields, duplicate, re, im. An integer too
+large for a float in re or im is a parse error. Reading and writing each cost
+one pass over the records: the checks, flattening and duplicate search run on
+whole arrays, and the writer formats all records at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import itertools
 import json
-from typing import Sequence
+import operator
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tolerances
 from .arrangement import ExperimentalArrangement, require_valid, validate_isa
-from .errors import ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 from .screens import ScreenConfiguration
 from .tensor import DenseOperatorTensor
 
 FORMAT_VERSION = 1
 
 
-def _fmt_real(x: float) -> str:
-    return f"{float(x):.17g}"
+@dataclass(frozen=True)
+class _Format:
+    """What the two file formats differ in; everything else is shared."""
+
+    kind: str
+    records: str
+    index_fields: tuple[str, ...]
+    duplicate: str
+
+
+_ARRANGEMENT = _Format(
+    "arrangement file", "entries", ("bra", "ket"), "duplicate entry for bra index {bra}, ket index {ket}"
+)
+_STATE = _Format("state file", "amplitudes", ("index",), "duplicate amplitude for index {index}")
+_MISSING = object()
 
 
 def _reject_constant(text: str) -> None:
@@ -79,52 +104,168 @@ def _read_factorization(data: dict, kind: str) -> ScreenConfiguration:
     return ScreenConfiguration(tuple(raw))
 
 
-def _read_index(record: dict, field: str, shape: ScreenConfiguration, where: str) -> int:
-    raw = record.get(field)
-    if not isinstance(raw, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in raw):
-        raise ParseError(f"{where}.{field} must be a list of integers")
-    return shape.flat_index(raw)
+def _only(items: Iterable[object], *types: type) -> bool:
+    """Whether every item has exactly one of `types` (so bool is not an int)."""
+    return set(map(type, items)) <= set(types)
 
 
-def _read_real(record: dict, field: str, where: str, default: float | None = None) -> float:
-    if field not in record:
-        if default is None:
-            raise ParseError(f"{where}.{field} is missing")
-        return default
-    raw = record[field]
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ParseError(f"{where}.{field} must be a number")
-    return float(raw)
+def _first(flags: Iterable[bool]) -> int:
+    """Position of the first true flag; one is known to exist."""
+    return next(itertools.compress(itertools.count(), flags))
+
+
+def _index_error(shape: ScreenConfiguration, index: list) -> DimensionError:
+    """The error check_index raises for an index already found faulty."""
+    try:
+        shape.check_index(index)
+    except DimensionError as e:
+        return e
+    raise AssertionError(f"index {index} passed check_index")
+
+
+def _overflows(value: int | float) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+def _read_records(records: list, fmt: _Format, shape: ScreenConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions and complex values of all records, in file order.
+
+    Each check runs over all records at once, in the order a record is read:
+    the record itself, its index fields, duplication, re, im. A failed check
+    cuts the records to those before its first faulty one, so a later check
+    can only find an earlier record, and the error raised is the one a
+    record-by-record reader would meet first.
+    """
+    end, error = len(records), None
+    if not _only(records, dict):
+        end = _first(type(r) is not dict for r in records)
+        error = ParseError(f"{fmt.records}[{end}] must be an object")
+    m = shape.num_screens
+    indices = []
+    for field in fmt.index_fields:
+        raws = list(map(operator.methodcaller("get", field), records[:end]))
+        if not (_only(raws, list) and _only(itertools.chain.from_iterable(raws), int)):
+            end = _first(type(raw) is not list or not _only(raw, int) for raw in raws)
+            error = ParseError(f"{fmt.records}[{end}].{field} must be a list of integers")
+            raws = raws[:end]
+        wrong_length = np.fromiter(map(len, raws), np.intp, len(raws)) != m
+        if wrong_length.any():
+            end = int(np.argmax(wrong_length))
+            error = _index_error(shape, raws[end])
+            raws = raws[:end]
+        components = list(itertools.chain.from_iterable(raws))
+        try:
+            index = np.array(components, np.int64)
+        except OverflowError:  # such a component is out of range; compare it exactly
+            index = np.array(components, object)
+        index = index.reshape(len(raws), m)
+        out_of_range = ((index < 1) | (index > np.array(shape.detector_counts))).any(axis=1)
+        if out_of_range.any():
+            end = int(np.argmax(out_of_range))
+            error = _index_error(shape, raws[end])
+        indices.append(index)
+    joint = np.hstack([index[:end] for index in indices]).astype(np.intp) - 1
+    keys = np.ravel_multi_index(tuple(joint.T), shape.detector_counts * len(fmt.index_fields))
+    _, first = np.unique(keys, return_index=True)
+    if first.size < keys.size:
+        repeated = np.ones(keys.size, dtype=bool)
+        repeated[first] = False
+        end = int(np.argmax(repeated))
+        error = ParseError(f"{fmt.records}[{end}]: " + fmt.duplicate.format(**records[end]))
+    parts = []
+    for field, default in (("re", _MISSING), ("im", 0.0)):
+        raws = list(map(operator.methodcaller("get", field, default), records[:end]))
+        if not _only(raws, float, int):
+            end = _first(type(x) not in (float, int) for x in raws)
+            problem = "is missing" if raws[end] is _MISSING else "must be a number"
+            error = ParseError(f"{fmt.records}[{end}].{field} {problem}")
+            raws = raws[:end]
+        try:
+            parts.append(np.array(raws, np.float64))
+        except OverflowError:
+            end = _first(map(_overflows, raws))
+            error = ParseError(f"{fmt.records}[{end}].{field} is too large for a float")
+    if error is not None:
+        raise error
+    values = np.empty(keys.size, dtype=np.complex128)
+    values.real, values.imag = parts
+    return keys, values
+
+
+def _read_header(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, list]:
+    """Configuration, label and the still unchecked records."""
+    data = _load_object(text, fmt.kind)
+    _check_version(data, fmt.kind)
+    shape = _read_factorization(data, fmt.kind)
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ParseError(f"{fmt.kind}: label must be a string")
+    records = _require(data, fmt.records, fmt.kind)
+    if not isinstance(records, list):
+        raise ParseError(f"{fmt.kind}: {fmt.records} must be a list")
+    return shape, label, records
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it runs, for the block.
+
+    Decoding makes a few container objects per record, so the collector
+    would traverse the growing tree several times per file (about a fifth
+    of the parse, and a varying share) while it can free none of it:
+    decoded JSON holds no reference cycles.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _parse(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray]:
+    """Configuration, label and dense array, one axis per index field."""
+    with _collector_paused():
+        shape, label, records = _read_header(text, fmt)
+        keys, values = _read_records(records, fmt, shape)
+        del records  # free the decoded JSON before the dense array is allocated
+    dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
+    np.put(dense, keys, values)
+    return shape, label, dense
+
+
+def _serialize(dense: np.ndarray, shape: ScreenConfiguration, label: str | None, fmt: _Format) -> str:
+    """Canonical text: one record per nonzero of `dense`, in flat order."""
+    lines = ["{"]
+    lines.append(f'  "version": {FORMAT_VERSION},')
+    lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
+    if label is not None:
+        lines.append(f'  "label": {json.dumps(label)},')
+    index_text = list(map(json.dumps, itertools.product(*(range(1, c + 1) for c in shape.detector_counts))))
+    flat = np.flatnonzero(dense)  # -0.0 counts as zero, as it compares equal to 0
+    values = dense.take(flat)
+    columns = [map(index_text.__getitem__, axis.tolist()) for axis in np.unravel_index(flat, dense.shape)]
+    record = "    {" + "".join(f'"{field}": %s, ' for field in fmt.index_fields) + '"re": %.17g, "im": %.17g}'
+    body = ",\n".join(map(record.__mod__, zip(*columns, values.real.tolist(), values.imag.tolist())))
+    if body:
+        lines += [f'  "{fmt.records}": [', body, "  ]"]
+    else:
+        lines.append(f'  "{fmt.records}": []')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_arrangement(text: str, validate: bool = True) -> ExperimentalArrangement:
     """Parse .ea text. With validate=False the structural checks still run
     but the arrangement may violate trace or positivity (useful for
     inspecting candidate files)."""
-    data = _load_object(text, "arrangement file")
-    _check_version(data, "arrangement file")
-    shape = _read_factorization(data, "arrangement file")
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ParseError("arrangement file: label must be a string")
-    raw_entries = _require(data, "entries", "arrangement file")
-    if not isinstance(raw_entries, list):
-        raise ParseError("arrangement file: entries must be a list")
-    n = shape.dimension
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    seen: set[tuple[int, int]] = set()
-    for pos, record in enumerate(raw_entries):
-        where = f"entries[{pos}]"
-        if not isinstance(record, dict):
-            raise ParseError(f"{where} must be an object")
-        bra = _read_index(record, "bra", shape, where)
-        ket = _read_index(record, "ket", shape, where)
-        if (bra, ket) in seen:
-            raise ParseError(f"{where}: duplicate entry for bra index {record['bra']}, ket index {record['ket']}")
-        seen.add((bra, ket))
-        re = _read_real(record, "re", where)
-        im = _read_real(record, "im", where, default=0.0)
-        matrix[bra, ket] = complex(re, im)
+    shape, label, matrix = _parse(text, _ARRANGEMENT)
     ea = ExperimentalArrangement(DenseOperatorTensor(shape, matrix), label)
     if validate:
         require_valid(ea)
@@ -138,35 +279,7 @@ def serialize_arrangement(ea: ExperimentalArrangement) -> str:
         raise ValidationError(
             "refusing to serialize an invalid arrangement: " + ", ".join(report.failures())
         )
-    shape = ea.shape
-    lines = ["{"]
-    lines.append(f'  "version": {FORMAT_VERSION},')
-    lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
-    if ea.label is not None:
-        lines.append(f'  "label": {json.dumps(ea.label)},')
-    entries = []
-    a = ea.alpha.entries
-    for bra in range(shape.dimension):
-        for ket in range(shape.dimension):
-            value = a[bra, ket]
-            if value == 0:
-                continue
-            bra_idx = list(shape.multi_index(bra))
-            ket_idx = list(shape.multi_index(ket))
-            entries.append(
-                '    {"bra": ' + json.dumps(bra_idx)
-                + ', "ket": ' + json.dumps(ket_idx)
-                + ', "re": ' + _fmt_real(value.real)
-                + ', "im": ' + _fmt_real(value.imag) + "}"
-            )
-    if entries:
-        lines.append('  "entries": [')
-        lines.append(",\n".join(entries))
-        lines.append("  ]")
-    else:
-        lines.append('  "entries": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _serialize(ea.alpha.entries, ea.shape, ea.label, _ARRANGEMENT)
 
 
 def parse_state(text: str) -> tuple[np.ndarray, ScreenConfiguration, str | None]:
@@ -174,28 +287,7 @@ def parse_state(text: str) -> tuple[np.ndarray, ScreenConfiguration, str | None]
 
     Amplitudes are renormalized after the load-tolerance norm check.
     """
-    data = _load_object(text, "state file")
-    _check_version(data, "state file")
-    shape = _read_factorization(data, "state file")
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ParseError("state file: label must be a string")
-    raw = _require(data, "amplitudes", "state file")
-    if not isinstance(raw, list):
-        raise ParseError("state file: amplitudes must be a list")
-    v = np.zeros(shape.dimension, dtype=np.complex128)
-    seen: set[int] = set()
-    for pos, record in enumerate(raw):
-        where = f"amplitudes[{pos}]"
-        if not isinstance(record, dict):
-            raise ParseError(f"{where} must be an object")
-        flat = _read_index(record, "index", shape, where)
-        if flat in seen:
-            raise ParseError(f"{where}: duplicate amplitude for index {record['index']}")
-        seen.add(flat)
-        re = _read_real(record, "re", where)
-        im = _read_real(record, "im", where, default=0.0)
-        v[flat] = complex(re, im)
+    shape, label, v = _parse(text, _STATE)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tolerances.FILE_NORM_TOL:
         raise ValidationError(f"state file: norm is {norm!r}, expected 1 within {tolerances.FILE_NORM_TOL}")
@@ -218,29 +310,7 @@ def serialize_state(
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > tolerances.FILE_NORM_TOL:
         raise ValidationError(f"state norm is {norm!r}, expected 1")
-    lines = ["{"]
-    lines.append(f'  "version": {FORMAT_VERSION},')
-    lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
-    if label is not None:
-        lines.append(f'  "label": {json.dumps(label)},')
-    records = []
-    for flat in range(shape.dimension):
-        value = v[flat]
-        if value == 0:
-            continue
-        records.append(
-            '    {"index": ' + json.dumps(list(shape.multi_index(flat)))
-            + ', "re": ' + _fmt_real(value.real)
-            + ', "im": ' + _fmt_real(value.imag) + "}"
-        )
-    if records:
-        lines.append('  "amplitudes": [')
-        lines.append(",\n".join(records))
-        lines.append("  ]")
-    else:
-        lines.append('  "amplitudes": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _serialize(v, shape, label, _STATE)
 
 
 def read_arrangement(path: str, validate: bool = True) -> ExperimentalArrangement:

@@ -1,17 +1,20 @@
 """Shared builders and independent brute-force oracles for the test suite.
 
-The loop_* functions re-derive tensor operations from their definitions with
-plain Python loops, deliberately avoiding the vectorized library paths, so
-tests can compare the two routes.
+The loop_* functions re-derive tensor operations and the file codec from their
+definitions with plain Python loops, deliberately avoiding the vectorized
+library paths, so tests can compare the two routes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 import qlab
+from qlab.fileio import _ARRANGEMENT, _STATE, FORMAT_VERSION, _read_header
+from qlab.tolerances import FILE_NORM_TOL, FILE_RENORM_EPS
 
 
 def two_detector_table() -> qlab.ExperimentalArrangement:
@@ -155,3 +158,121 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
     rng = qlab.make_rng(seed)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2
+
+
+def _loop_read_index(record: dict, field: str, shape: qlab.ScreenConfiguration, where: str) -> int:
+    raw = record.get(field)
+    if not isinstance(raw, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in raw):
+        raise qlab.ParseError(f"{where}.{field} must be a list of integers")
+    return shape.flat_index(raw)
+
+
+def _loop_read_real(record: dict, field: str, where: str, default: float | None = None) -> float:
+    if field not in record:
+        if default is None:
+            raise qlab.ParseError(f"{where}.{field} is missing")
+        return default
+    raw = record[field]
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise qlab.ParseError(f"{where}.{field} must be a number")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise qlab.ParseError(f"{where}.{field} is too large for a float") from None
+
+
+def loop_parse_arrangement(text: str, validate: bool = True) -> qlab.ExperimentalArrangement:
+    """.ea text to an arrangement, one record at a time."""
+    shape, label, raw_entries = _read_header(text, _ARRANGEMENT)
+    n = shape.dimension
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    seen: set[tuple[int, int]] = set()
+    for pos, record in enumerate(raw_entries):
+        where = f"entries[{pos}]"
+        if not isinstance(record, dict):
+            raise qlab.ParseError(f"{where} must be an object")
+        bra = _loop_read_index(record, "bra", shape, where)
+        ket = _loop_read_index(record, "ket", shape, where)
+        if (bra, ket) in seen:
+            raise qlab.ParseError(f"{where}: duplicate entry for bra index {record['bra']}, ket index {record['ket']}")
+        seen.add((bra, ket))
+        re = _loop_read_real(record, "re", where)
+        im = _loop_read_real(record, "im", where, default=0.0)
+        matrix[bra, ket] = complex(re, im)
+    ea = qlab.ExperimentalArrangement(qlab.DenseOperatorTensor(shape, matrix), label)
+    if validate:
+        qlab.require_valid(ea)
+    return ea
+
+
+def loop_parse_state(text: str):
+    """.qs text to (amplitudes, configuration, label), one record at a time."""
+    shape, label, raw = _read_header(text, _STATE)
+    v = np.zeros(shape.dimension, dtype=np.complex128)
+    seen: set[int] = set()
+    for pos, record in enumerate(raw):
+        where = f"amplitudes[{pos}]"
+        if not isinstance(record, dict):
+            raise qlab.ParseError(f"{where} must be an object")
+        flat = _loop_read_index(record, "index", shape, where)
+        if flat in seen:
+            raise qlab.ParseError(f"{where}: duplicate amplitude for index {record['index']}")
+        seen.add(flat)
+        re = _loop_read_real(record, "re", where)
+        im = _loop_read_real(record, "im", where, default=0.0)
+        v[flat] = complex(re, im)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > FILE_NORM_TOL:
+        raise qlab.ValidationError(f"state file: norm is {norm!r}, expected 1 within {FILE_NORM_TOL}")
+    if abs(norm - 1.0) > FILE_RENORM_EPS:
+        v = v / norm
+    return v, shape, label
+
+
+def _loop_document(shape: qlab.ScreenConfiguration, label: str | None, name: str, records: list[str]) -> str:
+    lines = ["{"]
+    lines.append(f'  "version": {FORMAT_VERSION},')
+    lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
+    if label is not None:
+        lines.append(f'  "label": {json.dumps(label)},')
+    if records:
+        lines.append(f'  "{name}": [')
+        lines.append(",\n".join(records))
+        lines.append("  ]")
+    else:
+        lines.append(f'  "{name}": []')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_serialize_arrangement(ea: qlab.ExperimentalArrangement) -> str:
+    """Canonical .ea text, one (bra, ket) pair at a time (no validity gate)."""
+    shape = ea.shape
+    entries = []
+    a = ea.alpha.entries
+    for bra in range(shape.dimension):
+        for ket in range(shape.dimension):
+            value = a[bra, ket]
+            if value == 0:
+                continue
+            entries.append(
+                '    {"bra": ' + json.dumps(list(shape.multi_index(bra)))
+                + ', "ket": ' + json.dumps(list(shape.multi_index(ket)))
+                + f', "re": {float(value.real):.17g}, "im": {float(value.imag):.17g}' + "}"
+            )
+    return _loop_document(shape, ea.label, "entries", entries)
+
+
+def loop_serialize_state(amplitudes: np.ndarray, shape: qlab.ScreenConfiguration, label: str | None = None) -> str:
+    """Canonical .qs text, one amplitude at a time (no norm gate)."""
+    v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    records = []
+    for flat in range(shape.dimension):
+        value = v[flat]
+        if value == 0:
+            continue
+        records.append(
+            '    {"index": ' + json.dumps(list(shape.multi_index(flat)))
+            + f', "re": {float(value.real):.17g}, "im": {float(value.imag):.17g}' + "}"
+        )
+    return _loop_document(shape, label, "amplitudes", records)

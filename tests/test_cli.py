@@ -339,6 +339,41 @@ class TestErrorPaths:
             main(["validate"])
         assert exc.value.code == 2
 
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "huge.ea"
+        path.write_text(
+            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 1%s}]}' % ("0" * 400)
+        )
+        rc, _, err = run(capsys, "validate", "--in", str(path))
+        assert rc == 2
+        assert err == "error[parse]: entries[0].re is too large for a float\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--in", "{in}", "--count", "10", "--seed", "-1"],
+            ["sample", "--in", "{in}", "--count", "100000000000000000000"],
+            ["sample", "--in", "{in}", "--count", "9223372036854775808"],
+            ["change-basis", "--in", "{in}", "--out", "{out}", "--random-unitary", "--seed", "-1"],
+            ["verify-basis-invariance", "--in", "{in}", "--random-unitary", "--seed", "-1"],
+            ["verify-factorization-invariance", "--in", "{in}", "--seed", "-1"],
+            ["render", "--in", "{in}", "--out", "{out}", "--width", "0"],
+            ["render", "--in", "{in}", "--out", "{out}", "--width", "nan"],
+            ["render", "--in", "{in}", "--out", "{out}", "--height", "inf"],
+            ["render", "--in", "{in}", "--out", "{out}", "--height", "-400"],
+        ],
+    )
+    def test_bad_argument_values_are_usage_errors(self, capsys, pair_file, tmp_path, argv):
+        out = tmp_path / "out"
+        argv = [a.format(**{"in": pair_file, "out": out}) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qlab ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def test_module_entry_point(pair_file):
     proc = subprocess.run(

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from qlab import (
     write_state,
 )
 
-from helpers import bell_state, four_screen_pair, two_detector_table
+from helpers import bell_state, four_screen_pair, loop_parse_arrangement, two_detector_table
 
 PAIR_TEXT = """{
   "version": 1,
@@ -159,9 +162,71 @@ class TestArrangementErrors:
         with pytest.raises(NumericError):
             parse_arrangement(text)
 
+    def test_integer_too_large_for_a_float_is_a_parse_error(self):
+        huge = "1" + "0" * 400
+        text = '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": %s}]}'
+        with pytest.raises(ParseError, match=r"^entries\[0\]\.re is too large for a float$"):
+            parse_arrangement(text % huge)
+        with pytest.raises(ParseError, match=r"^entries\[0\]\.im is too large for a float$"):
+            parse_arrangement(text % ('1.0, "im": -' + huge))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             read_arrangement(str(tmp_path / "absent.ea"))
+
+
+A = '{"bra": [1, 1], "ket": [1, 1], "re": 0.5}'
+B = '{"bra": [2, 2], "ket": [2, 2], "re": 0.5}'
+C = '{"bra": [1, 2], "ket": [2, 1], "re": 0.0}'
+
+
+class TestFirstFaultyRecordWins:
+    """Several faulty records: the error names the first one in file order,
+    exactly as the record-by-record reader does."""
+
+    @pytest.mark.parametrize(
+        "records, error",
+        [
+            ([A, B, B, A], "entries[2]: duplicate entry for bra index [2, 2], ket index [2, 2]"),
+            ([A, A, A], "entries[1]: duplicate entry for bra index [1, 1], ket index [1, 1]"),
+            ([A, '{"bra": [1, 2], "ket": [2, 1]}', B, B], "entries[1].re is missing"),
+            ([A, B, '{"bra": [1, true], "ket": [1, 1], "re": 0.5}', "3"], "entries[2].bra must be a list of integers"),
+            ([C, '{"bra": [1, 2], "ket": [3, 1], "re": 0.5}', '{"bra": [1], "ket": [1, 1], "re": 0.5}'],
+             "index 3 out of range 1..2 on screen 1"),
+            ([C, '{"bra": [1, 2], "ket": [1, 2, 1], "re": 0.5}', '{"bra": [5, 5], "ket": [1, 1], "re": 0.5}'],
+             "multi-index (1, 2, 1) has 3 components, expected 2"),
+            (['{"bra": [1, 1], "ket": [1, 1], "re": 0.5, "im": "0"}', '{"bra": [1.0, 1], "ket": [1, 1], "re": 0.5}'],
+             "entries[0].im must be a number"),
+            ([A, C, '{"bra": [1, 2], "ket": [2, 1], "re": "x"}', A], "entries[2]: duplicate entry for bra index [1, 2], ket index [2, 1]"),
+        ],
+    )
+    def test_error_names_the_first_faulty_record(self, records, error):
+        text = '{"version": 1, "factorization": [2, 2], "entries": [%s]}' % ", ".join(records)
+        with pytest.raises(qlab.QLabError) as got:
+            parse_arrangement(text)
+        with pytest.raises(qlab.QLabError) as want:
+            loop_parse_arrangement(text)
+        assert str(want.value) == error
+        assert (type(got.value), str(got.value)) == (type(want.value), error)
+
+
+class TestGarbageCollector:
+    """Parsing pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text", [PAIR_TEXT, PAIR_TEXT.replace('"re": 0.5}\n', '"re": "x"}\n')])
+    def test_collector_state_is_restored(self, enabled, text):
+        was = gc.isenabled()
+        try:
+            if not enabled:
+                gc.disable()
+            with contextlib.suppress(qlab.QLabError):
+                parse_arrangement(text)
+            with contextlib.suppress(qlab.QLabError):
+                parse_state(text.replace("entries", "amplitudes").replace('"bra"', '"index"'))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestStateFiles:
@@ -208,6 +273,15 @@ class TestStateFiles:
         )
         with pytest.raises(ParseError, match="duplicate"):
             parse_state(text)
+
+    def test_integer_too_large_for_a_float_is_a_parse_error(self):
+        huge = "1" + "0" * 400
+        text = (
+            '{"version": 1, "factorization": [2], "amplitudes": ['
+            '{"index": [1], "re": 1.0}, {"index": [2], "re": 0.0, "im": %s}]}'
+        )
+        with pytest.raises(ParseError, match=r"^amplitudes\[1\]\.im is too large for a float$"):
+            parse_state(text % huge)
 
     def test_wrong_length_vector(self):
         with pytest.raises(ValidationError, match="length"):
