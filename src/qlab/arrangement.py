@@ -18,7 +18,7 @@ import numpy as np
 from . import tolerances
 from .errors import DimensionError, NumericError, ValidationError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _frozen_complex_matrix
+from .tensor import DenseOperatorTensor, _frozen_complex_matrix, _unit_norm
 
 SAMPLER_ALGORITHM = "numpy-pcg64-multinomial"
 
@@ -158,9 +158,7 @@ def build_from_state_vector(
         )
     if not np.all(np.isfinite(v)):
         raise NumericError("amplitudes must be finite")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tolerances.STATE_NORM_TOL:
-        raise ValidationError(f"state vector norm is {norm!r}, expected 1")
+    _unit_norm(v, tolerances.STATE_NORM_TOL, "state vector norm is {norm!r}, expected 1")
     return require_valid(
         ExperimentalArrangement(DenseOperatorTensor(shape, np.outer(v, v.conj())), label)
     )

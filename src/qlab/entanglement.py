@@ -18,9 +18,9 @@ import numpy as np
 
 from . import tolerances
 from .arrangement import ExperimentalArrangement
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .screens import ScreenConfiguration
-from .tensor import singular_value_decomposition
+from .tensor import _unit_norm, singular_value_decomposition
 from .transforms import BasisTransformation, change_basis, remove_screens
 
 MAX_PROFILE_SCREENS = 12
@@ -77,9 +77,7 @@ def _as_state(state: Sequence[complex] | np.ndarray, shape: ScreenConfiguration)
         raise DimensionError(
             f"state has length {v.size}, expected {shape.dimension} for {shape}"
         )
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tolerances.STATE_NORM_TOL:
-        raise ValidationError(f"state norm is {norm!r}, expected 1")
+    _unit_norm(v, tolerances.STATE_NORM_TOL, "state norm is {norm!r}, expected 1")
     return v
 
 

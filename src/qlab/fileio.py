@@ -49,7 +49,7 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement, require_valid, validate_isa
 from .errors import DimensionError, ParseError, ValidationError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor
+from .tensor import DenseOperatorTensor, _unit_norm
 
 FORMAT_VERSION = 1
 
@@ -288,9 +288,7 @@ def parse_state(text: str) -> tuple[np.ndarray, ScreenConfiguration, str | None]
     Amplitudes are renormalized after the load-tolerance norm check.
     """
     shape, label, v = _parse(text, _STATE)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tolerances.FILE_NORM_TOL:
-        raise ValidationError(f"state file: norm is {norm!r}, expected 1 within {tolerances.FILE_NORM_TOL}")
+    norm = _unit_norm(v, tolerances.FILE_NORM_TOL, "state file: norm is {norm!r}, expected 1 within {tol}")
     if abs(norm - 1.0) > tolerances.FILE_RENORM_EPS:
         v = v / norm
     return v, shape, label
@@ -307,9 +305,7 @@ def serialize_state(
         raise ValidationError(
             f"amplitude vector has length {v.size}, expected {shape.dimension}"
         )
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tolerances.FILE_NORM_TOL:
-        raise ValidationError(f"state norm is {norm!r}, expected 1")
+    _unit_norm(v, tolerances.FILE_NORM_TOL, "state norm is {norm!r}, expected 1")
     return _serialize(v, shape, label, _STATE)
 
 

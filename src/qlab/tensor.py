@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tolerances
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, ValidationError
 from .screens import ScreenConfiguration
 
 
@@ -25,6 +25,25 @@ def _frozen_complex_matrix(entries: object) -> np.ndarray:
             arr = arr.copy()
         arr.setflags(write=False)
     return arr
+
+
+def _check_capacity(a: int, b: int) -> None:
+    """Raise DimensionError if a joint dimension a x b would exceed the cap."""
+    if a * b > tolerances.DIMENSION_CAP:
+        raise DimensionError(
+            f"capacity overflow: {a} x {b} = {a * b} exceeds the configured cap {tolerances.DIMENSION_CAP}"
+        )
+
+
+def _unit_norm(v: np.ndarray, tol: float, message: str) -> float:
+    """Norm of v, or ValidationError when it is not within tol of 1 (NaN never is).
+
+    `message` is formatted with the keywords `norm` and `tol`.
+    """
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= tol:
+        raise ValidationError(message.format(norm=norm, tol=tol))
+    return norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +81,6 @@ def zeros(shape: ScreenConfiguration) -> DenseOperatorTensor:
     return DenseOperatorTensor(shape, np.zeros((n, n), dtype=np.complex128))
 
 
-def identity_tensor(shape: ScreenConfiguration) -> DenseOperatorTensor:
-    return DenseOperatorTensor(shape, np.eye(shape.dimension, dtype=np.complex128))
-
-
 def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOperatorTensor:
     """Joint tensor on the concatenated screen list.
 
@@ -73,14 +88,8 @@ def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOpera
     both use leftmost-most-significant ordering. Raises DimensionError when
     the combined dimension would exceed the configured cap.
     """
-    counts = a.shape.detector_counts + b.shape.detector_counts
-    combined = a.dimension * b.dimension
-    if combined > tolerances.DIMENSION_CAP:
-        raise DimensionError(
-            f"capacity overflow: {a.dimension} x {b.dimension} = {combined} "
-            f"exceeds the configured cap {tolerances.DIMENSION_CAP}"
-        )
-    shape = ScreenConfiguration(counts)
+    _check_capacity(a.dimension, b.dimension)
+    shape = ScreenConfiguration(a.shape.detector_counts + b.shape.detector_counts)
     return DenseOperatorTensor(shape, np.kron(a.entries, b.entries))
 
 
@@ -146,15 +155,3 @@ def singular_value_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     if not np.all(np.isfinite(arr)):
         raise NumericError("matrix entries must be finite")
     return np.linalg.svd(arr, full_matrices=False)
-
-
-def apply_unitary(t: DenseOperatorTensor, u: np.ndarray) -> DenseOperatorTensor:
-    """Conjugate the tensor by a unitary: u @ t @ u^dagger."""
-    mat = np.asarray(u, dtype=np.complex128)
-    n = t.dimension
-    if mat.shape != (n, n):
-        raise DimensionError(f"unitary has shape {mat.shape}, expected ({n}, {n})")
-    dev = np.max(np.abs(mat @ mat.conj().T - np.eye(n)))
-    if dev > tolerances.UNITARITY_TOL:
-        raise NumericError(f"matrix is not unitary: max deviation {dev:.3e}")
-    return DenseOperatorTensor(t.shape, mat @ t.entries @ mat.conj().T)

@@ -21,10 +21,17 @@ import numpy as np
 
 from . import tolerances
 from .arrangement import ExperimentalArrangement, require_valid
-from .errors import DimensionError, NumericError, ValidationError
+from .errors import DimensionError, NumericError
 from .rand import make_rng, random_projector, random_state_vector, random_unitary
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _frozen_complex_matrix, partial_trace, tensor_product
+from .tensor import (
+    DenseOperatorTensor,
+    _check_capacity,
+    _frozen_complex_matrix,
+    _unit_norm,
+    partial_trace,
+    tensor_product,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +146,11 @@ def extend_arrangement(
     """Adjoin an uncorrelated screen in a pure state as the new last screen.
 
     Default ancilla is the first basis state. The ancilla must be normalized.
+    The joint dimension is checked against the cap before anything is allocated.
     """
     if ancilla_dim < 1:
         raise DimensionError(f"ancilla dimension must be at least 1, got {ancilla_dim}")
+    _check_capacity(ea.dimension, ancilla_dim)
     if ancilla_state is None:
         phi = np.zeros(ancilla_dim, dtype=np.complex128)
         phi[0] = 1.0
@@ -153,9 +162,7 @@ def extend_arrangement(
             )
         if not np.all(np.isfinite(phi)):
             raise NumericError("ancilla amplitudes must be finite")
-        norm = float(np.linalg.norm(phi))
-        if abs(norm - 1.0) > tolerances.STATE_NORM_TOL:
-            raise ValidationError(f"ancilla state norm is {norm!r}, expected 1")
+        _unit_norm(phi, tolerances.STATE_NORM_TOL, "ancilla state norm is {norm!r}, expected 1")
     ancilla = DenseOperatorTensor(ScreenConfiguration((ancilla_dim,)), np.outer(phi, phi.conj()))
     joint = tensor_product(ea.alpha, ancilla)
     return require_valid(ExperimentalArrangement(joint, ea.label))

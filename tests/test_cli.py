@@ -4,10 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qlab
 from qlab import configuration, write_arrangement, write_state
-from qlab.cli import main
+from qlab.cli import COMMANDS, main
 
 from helpers import bell_state, four_screen_pair, two_detector_table, w_state
 
@@ -373,6 +374,106 @@ class TestErrorPaths:
         assert err.startswith("usage: qlab ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extend", "--in", "{in}", "--out", "{out}", "--ancilla-dim", "100000000000000000000"],
+            ["verify-factorization-invariance", "--in", "{in}", "--ancilla-dim", "100000000000000000000"],
+        ],
+    )
+    def test_huge_ancilla_dim_is_a_dimension_error(self, capsys, pair_file, tmp_path, argv):
+        out = tmp_path / "out.ea"
+        rc, stdout, err = run(capsys, *[a.format(**{"in": pair_file, "out": out}) for a in argv])
+        assert rc == 4
+        assert stdout == ""
+        assert err.startswith("error[dimension]: capacity overflow")
+        assert not out.exists()
+
+
+# Argument values for the argv property: small, huge, negative and zero
+# integers, empty lists, and NaN, infinite or out-of-range floats.
+INTS = st.one_of(st.integers(-2, 5), st.sampled_from([10**20, -(10**20), 2**63, 2**63 - 1, 4096]))
+INT_LISTS = st.lists(INTS, max_size=5).map(lambda xs: ",".join(map(str, xs)))
+FLOATS = st.one_of(st.floats(), st.sampled_from(["nan", "-inf", "1e400", "0", "-0.0", "0.5"]))
+SMALL = st.integers(-1, 3)  # --trials: a large value is only slow
+
+
+def opt(flag, values, required=False):
+    present = values.map(lambda v: [flag, str(v)])
+    return present if required else st.one_of(st.just([]), present)
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+ARRANGEMENTS = st.sampled_from(["pair.ea", "table.ea", "bad.ea", "absent.ea"])
+STATES = st.sampled_from(["bell.qs", "w.qs", "phi.qs", "absent.qs"])
+OWN_ARGS = {
+    "validate": [],
+    "potentia": [opt("--power", INT_LISTS), opt("--min-potentia", FLOATS)],
+    "change-basis": [
+        switch("--random-unitary"), opt("--permute-screens", INT_LISTS), opt("--target-shape", INT_LISTS),
+        opt("--seed", INTS),
+    ],
+    "refactor": [opt("--shape", INT_LISTS, required=True)],
+    "remove-screen": [opt("--screen", INTS, required=True)],
+    "extend": [
+        opt("--ancilla-dim", INTS, required=True), opt("--ancilla-basis", INTS), opt("--ancilla-state", STATES),
+    ],
+    "schmidt": [opt("--left", INT_LISTS, required=True)],
+    "separability": [],
+    "product-test": [opt("--left", INT_LISTS, required=True)],
+    "verify-basis-invariance": [switch("--random-unitary"), opt("--target-shape", INT_LISTS), opt("--seed", INTS)],
+    "verify-factorization-invariance": [opt("--ancilla-dim", INTS), opt("--trials", SMALL), opt("--seed", INTS)],
+    "sample": [opt("--count", INTS, required=True), opt("--seed", INTS)],
+    "render": [
+        opt("--max-powers", INTS), opt("--min-potentia", FLOATS), opt("--width", FLOATS), opt("--height", FLOATS),
+        switch("--labels"),
+    ],
+}
+WRITES = {"change-basis", "refactor", "remove-screen", "extend", "render"}
+
+
+@pytest.fixture
+def argv_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_arrangement("pair.ea", four_screen_pair())
+    write_arrangement("table.ea", two_detector_table())
+    (tmp_path / "bad.ea").write_text(
+        '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 0.9}]}'
+    )
+    write_state("bell.qs", bell_state(), configuration(2, 2))
+    write_state("w.qs", w_state(), configuration(2, 2, 2))
+    write_state("phi.qs", np.array([0.0, 1.0]), configuration(2))
+
+
+@st.composite
+def argvs(draw, name):
+    source = ["--state", draw(STATES)] if name in ("schmidt", "separability") else ["--in", draw(ARRANGEMENTS)]
+    argv = [name, *source, *(["--out", "out"] if name in WRITES else [])]
+    for part in OWN_ARGS[name]:
+        argv += draw(part)
+    return argv + draw(switch("--json"))
+
+
+def test_argv_property_covers_every_subcommand():
+    assert sorted(OWN_ARGS) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(OWN_ARGS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_with_a_documented_code(capsys, argv_files, name, data):
+    argv = data.draw(argvs(name))
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4, 5), (argv, err)
+    assert "Traceback" not in err
 
 
 def test_module_entry_point(pair_file):

@@ -110,6 +110,10 @@ class TestSchmidtDecompose:
         with pytest.raises(qlab.ValidationError, match="norm"):
             schmidt_decompose(np.ones(4), PAIR, Bipartition((1,), (2,)))
 
+    def test_nan_state_fails_the_norm_check(self):
+        with pytest.raises(qlab.ValidationError, match="norm is nan"):
+            schmidt_decompose(np.array([np.nan, 0, 0, 0]), PAIR, Bipartition((1,), (2,)))
+
 
 class TestFullSeparability:
     def test_product_state_separates_with_factors(self):

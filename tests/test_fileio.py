@@ -266,6 +266,15 @@ class TestStateFiles:
         with pytest.raises(ValidationError, match="norm"):
             parse_state(text)
 
+    def test_nan_amplitude_is_not_serialized(self, tmp_path):
+        v = np.array([np.nan, 0.0])
+        with pytest.raises(ValidationError, match="norm is nan"):
+            serialize_state(v, configuration(2))
+        path = tmp_path / "nan.qs"
+        with pytest.raises(ValidationError, match="norm is nan"):
+            write_state(str(path), v, configuration(2))
+        assert not path.exists()
+
     def test_duplicate_amplitude(self):
         text = (
             '{"version": 1, "factorization": [2], "amplitudes": ['

@@ -6,7 +6,6 @@ from qlab import (
     DenseOperatorTensor,
     DimensionError,
     NumericError,
-    apply_unitary,
     configuration,
     conjugate_transpose,
     hermitian_eigendecomposition,
@@ -23,8 +22,6 @@ from helpers import (
     random_hermitian,
     two_detector_table,
 )
-
-H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
 def tensor(counts, entries):
@@ -185,31 +182,6 @@ def test_svd_reconstructs_rectangular():
     u, s, vh = singular_value_decomposition(m)
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs((u * s) @ vh - m)) <= 1e-9
-
-
-def test_apply_unitary_hadamard_table():
-    # hand product: H diag(0.7, 0.3) H = [[0.5, 0.2], [0.2, 0.5]]
-    t = tensor([2], np.diag([0.7, 0.3]))
-    moved = apply_unitary(t, H)
-    assert np.allclose(moved.entries, [[0.5, 0.2], [0.2, 0.5]], atol=1e-15)
-
-
-def test_apply_unitary_preserves_eigenvalues():
-    m = random_hermitian(8, 16)
-    t = tensor([2, 4], m)
-    u = qlab.random_unitary(8, 17)
-    moved = apply_unitary(t, u)
-    before = np.linalg.eigvalsh(t.entries)
-    after = np.linalg.eigvalsh(moved.entries)
-    assert np.max(np.abs(before - after)) <= 1e-9
-
-
-def test_apply_unitary_rejects_bad_input():
-    t = tensor([2], np.eye(2) / 2)
-    with pytest.raises(NumericError, match="unitary"):
-        apply_unitary(t, np.array([[1, 0], [1, 1]], dtype=complex))
-    with pytest.raises(DimensionError):
-        apply_unitary(t, np.eye(3))
 
 
 def test_two_detector_table_diagonal():

@@ -50,6 +50,13 @@ class TestBasisTransformation:
                 dst = bt.target_shape.flat_index((k2, k1))
                 assert bt.matrix[dst, src] == 1.0
 
+    def test_rejects_bad_matrix(self):
+        shape = configuration(2)
+        with pytest.raises(NumericError, match="unitary"):
+            BasisTransformation(shape, shape, np.array([[1, 0], [1, 1]], dtype=complex))
+        with pytest.raises(DimensionError, match="shape"):
+            BasisTransformation(shape, shape, np.eye(3))
+
     def test_screen_permutation_rejects_non_permutation(self):
         with pytest.raises(DimensionError, match="permutation"):
             BasisTransformation.screen_permutation(configuration(2, 2), (1, 1))
@@ -87,6 +94,13 @@ class TestChangeBasis:
         bt = BasisTransformation.random(ea.shape, rng)
         moved = change_basis(ea, bt)
         assert qlab.validate_isa(moved).valid
+        before = np.linalg.eigvalsh(ea.alpha.entries)
+        after = np.linalg.eigvalsh(moved.alpha.entries)
+        assert np.max(np.abs(before - after)) <= 1e-9
+
+    def test_preserves_spectrum_across_unequal_screens(self):
+        ea = qlab.random_arrangement(configuration(2, 4), 16)
+        moved = change_basis(ea, BasisTransformation.random(ea.shape, 17))
         before = np.linalg.eigvalsh(ea.alpha.entries)
         after = np.linalg.eigvalsh(moved.alpha.entries)
         assert np.max(np.abs(before - after)) <= 1e-9
@@ -210,6 +224,14 @@ class TestExtendArrangement:
         monkeypatch.setattr(qlab.tolerances, "DIMENSION_CAP", 16)
         with pytest.raises(DimensionError, match="capacity"):
             extend_arrangement(ea, 2)
+
+    def test_huge_ancilla_fails_before_allocating(self):
+        # an ancilla vector of this length cannot be allocated at all
+        huge = 10**20
+        with pytest.raises(DimensionError, match="capacity"):
+            extend_arrangement(two_detector_table(), huge)
+        with pytest.raises(DimensionError, match="capacity"):
+            verify_factorization_invariance(two_detector_table(), huge)
 
 
 class TestVerifiers:
