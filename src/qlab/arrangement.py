@@ -51,8 +51,11 @@ class Power:
 class ExperimentalArrangement:
     """An operator tensor together with an optional label.
 
-    Construction is structural only; run validate_isa (or use a builder,
-    every builder validates) to check Hermiticity, trace and positivity.
+    Construction is structural only. validate_isa proves positivity where
+    data enters or leaves: parse/read with validate=True, serialize/write,
+    and explicit validate_isa/require_valid calls. Builders and transforms
+    assume valid inputs (a loaded file, a builder output, or an arrangement
+    passed through require_valid) and re-check only the O(N^2) properties.
     """
 
     alpha: DenseOperatorTensor
@@ -104,45 +107,50 @@ class IsaValidationReport:
         raise KeyError(name)
 
 
+def _structural_checks(a: np.ndarray) -> tuple[IsaCheck, ...]:
+    """The O(N^2) checks of validate_isa: hermitian, trace, diagonal. The
+    diagonal residual is the worst of imaginary part and distance outside [0, 1]."""
+    diag = a.diagonal()
+    below = float(np.max(np.maximum(-diag.real, 0.0)))
+    above = float(np.max(np.maximum(diag.real - 1.0, 0.0)))
+    found = (
+        ("hermitian", float(np.max(np.abs(a - a.conj().T))), tolerances.HERMITICITY_TOL),
+        ("trace", abs(complex(np.trace(a)) - 1.0), tolerances.TRACE_TOL),
+        ("diagonal", max(float(np.max(np.abs(diag.imag))), below, above), tolerances.DIAGONAL_TOL),
+    )
+    return tuple(IsaCheck(name, res <= tol, res, tol) for name, res, tol in found)
+
+
 def validate_isa(ea: ExperimentalArrangement) -> IsaValidationReport:
     """Check the four arrangement properties and report each residual.
 
-    Checks, in order: hermitian, trace, positive, diagonal. The diagonal
-    residual is the worst of imaginary magnitude and distance outside [0, 1].
+    Checks, in order: hermitian, trace, positive, diagonal. Positivity is
+    proven only here, by a full O(N^3) eigvalsh.
     """
     a = ea.alpha.entries
-    herm = float(np.max(np.abs(a - a.conj().T)))
-    tr = complex(np.trace(a))
-    trace_res = abs(tr - 1.0)
+    herm, trace, diag = _structural_checks(a)
     # eigvalsh assumes Hermitian input; symmetrize so a lopsided candidate
     # still gets a sensible positivity figure instead of garbage
-    sym = (a + a.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    pos_res = max(0.0, -min_eig)
-    diag = a.diagonal()
-    diag_res = 0.0
-    if diag.size:
-        imag_part = float(np.max(np.abs(diag.imag)))
-        below = float(np.max(np.maximum(-diag.real, 0.0)))
-        above = float(np.max(np.maximum(diag.real - 1.0, 0.0)))
-        diag_res = max(imag_part, below, above)
-    checks = (
-        IsaCheck("hermitian", herm <= tolerances.HERMITICITY_TOL, herm, tolerances.HERMITICITY_TOL),
-        IsaCheck("trace", trace_res <= tolerances.TRACE_TOL, float(trace_res), tolerances.TRACE_TOL),
-        IsaCheck("positive", min_eig >= tolerances.PSD_EIGENVALUE_FLOOR, pos_res, -tolerances.PSD_EIGENVALUE_FLOOR),
-        IsaCheck("diagonal", diag_res <= tolerances.DIAGONAL_TOL, diag_res, tolerances.DIAGONAL_TOL),
-    )
-    return IsaValidationReport(checks)
+    min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+    floor = tolerances.PSD_EIGENVALUE_FLOOR
+    positive = IsaCheck("positive", min_eig >= floor, max(0.0, -min_eig), -floor)
+    return IsaValidationReport((herm, trace, positive, diag))
+
+
+def _require(ea: ExperimentalArrangement, checks: Sequence[IsaCheck]) -> ExperimentalArrangement:
+    detail = ", ".join(f"{c.name} (residual {c.residual:.6e})" for c in checks if not c.passed)
+    if detail:
+        raise ValidationError(f"arrangement failed validation: {detail}")
+    return ea
 
 
 def require_valid(ea: ExperimentalArrangement) -> ExperimentalArrangement:
-    report = validate_isa(ea)
-    if not report.valid:
-        detail = ", ".join(
-            f"{c.name} (residual {c.residual:.6e})" for c in report.checks if not c.passed
-        )
-        raise ValidationError(f"arrangement failed validation: {detail}")
-    return ea
+    return _require(ea, validate_isa(ea).checks)
+
+
+def _valid_result(alpha: DenseOperatorTensor, label: str | None) -> ExperimentalArrangement:
+    """Arrangement from a result valid by mathematics: O(N^2) checks, no positivity."""
+    return _require(ExperimentalArrangement(alpha, label), _structural_checks(alpha.entries))
 
 
 def build_from_state_vector(
@@ -159,9 +167,7 @@ def build_from_state_vector(
     if not np.all(np.isfinite(v)):
         raise NumericError("amplitudes must be finite")
     _unit_norm(v, tolerances.STATE_NORM_TOL, "state vector norm is {norm!r}, expected 1")
-    return require_valid(
-        ExperimentalArrangement(DenseOperatorTensor(shape, np.outer(v, v.conj())), label)
-    )
+    return _valid_result(DenseOperatorTensor(shape, np.outer(v, v.conj())), label)
 
 
 def build_from_mixture(
@@ -185,7 +191,7 @@ def build_from_mixture(
     acc = np.zeros((shape.dimension, shape.dimension), dtype=np.complex128)
     for wi, ea in zip(w, arrangements):
         acc += wi * ea.alpha.entries
-    return require_valid(ExperimentalArrangement(DenseOperatorTensor(shape, acc), label))
+    return _valid_result(DenseOperatorTensor(shape, acc), label)
 
 
 def degree_of_complexity(ea: ExperimentalArrangement) -> int:
@@ -378,8 +384,4 @@ def sample_outcomes(ea: ExperimentalArrangement, count: int, seed: int) -> dict[
     p = p / p.sum()
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.multinomial(count, p)
-    out: dict[tuple[int, ...], int] = {}
-    for flat, c in enumerate(draws):
-        if c > 0:
-            out[ea.shape.multi_index(flat)] = int(c)
-    return out
+    return {index: c for index, c in zip(ea.shape.all_indices(), draws.tolist()) if c > 0}

@@ -115,8 +115,8 @@ def _potentia(args, ea):
         return fields + [(f"potentia[{_key(args.power)}]", ea.potentia(args.power))], True
     table = ea.potentia_table()
     fields += [
-        (f"potentia[{_key(ea.shape.multi_index(flat))}]", float(value))
-        for flat, value in enumerate(table)
+        (f"potentia[{_key(index)}]", value)
+        for index, value in zip(ea.shape.all_indices(), table.tolist())
         if value >= args.min_potentia
     ]
     return fields, True

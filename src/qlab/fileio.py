@@ -247,7 +247,7 @@ def _serialize(dense: np.ndarray, shape: ScreenConfiguration, label: str | None,
     lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
     if label is not None:
         lines.append(f'  "label": {json.dumps(label)},')
-    index_text = list(map(json.dumps, itertools.product(*(range(1, c + 1) for c in shape.detector_counts))))
+    index_text = list(map(json.dumps, shape.all_indices()))
     flat = np.flatnonzero(dense)  # -0.0 counts as zero, as it compares equal to 0
     values = dense.take(flat)
     columns = [map(index_text.__getitem__, axis.tolist()) for axis in np.unravel_index(flat, dense.shape)]

@@ -10,6 +10,7 @@ whole package and is what ties tensor entries to detector outcomes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -81,8 +82,7 @@ class ScreenConfiguration:
 
     def all_indices(self) -> Iterator[tuple[int, ...]]:
         """All multi-indices in flat order."""
-        for flat in range(self.dimension):
-            yield self.multi_index(flat)
+        return itertools.product(*(range(1, c + 1) for c in self.detector_counts))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.detector_counts) + "]"

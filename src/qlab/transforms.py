@@ -7,6 +7,10 @@ transformation is matrix conjugation under that flattening:
 
     transformed = matrix @ alpha @ matrix^dagger
 
+Every operation assumes a valid input. Unitary conjugation, partial trace
+and adjoining a pure screen preserve validity, so results get only the O(N^2)
+Hermiticity, trace and diagonal checks; positivity is not proven again.
+
 Two verifiers exercise the calculus end to end: one checks that a unitary
 change of description preserves spectra and projector valuations, the other
 that adjoining an uncorrelated screen and then removing it is lossless.
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances
-from .arrangement import ExperimentalArrangement, require_valid
+from .arrangement import ExperimentalArrangement, _valid_result
 from .errors import DimensionError, NumericError
 from .rand import make_rng, random_projector, random_state_vector, random_unitary
 from .screens import ScreenConfiguration
@@ -28,6 +32,7 @@ from .tensor import (
     DenseOperatorTensor,
     _check_capacity,
     _frozen_complex_matrix,
+    _reordered,
     _unit_norm,
     partial_trace,
     tensor_product,
@@ -83,14 +88,8 @@ class BasisTransformation:
         perm = tuple(int(p) for p in order)
         if sorted(perm) != list(range(1, n + 1)):
             raise DimensionError(f"order {perm} is not a permutation of 1..{n}")
-        target = ScreenConfiguration(tuple(shape.detector_counts[p - 1] for p in perm))
-        dim = shape.dimension
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for flat in range(dim):
-            src = shape.multi_index(flat)
-            dst = tuple(src[p - 1] for p in perm)
-            mat[target.flat_index(dst), flat] = 1.0
-        return cls(shape, target, mat)
+        target, src = _reordered(shape, perm)
+        return cls(shape, target, np.eye(shape.dimension, dtype=np.complex128)[src])
 
     def inverse(self) -> "BasisTransformation":
         return BasisTransformation(self.target_shape, self.source_shape, self.matrix.conj().T)
@@ -103,9 +102,7 @@ def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> Experi
             f"arrangement configuration {ea.shape} does not match transformation source {bt.source_shape}"
         )
     moved = bt.matrix @ ea.alpha.entries @ bt.matrix.conj().T
-    return require_valid(
-        ExperimentalArrangement(DenseOperatorTensor(bt.target_shape, moved), ea.label)
-    )
+    return _valid_result(DenseOperatorTensor(bt.target_shape, moved), ea.label)
 
 
 def refactorize(ea: ExperimentalArrangement, new_shape: ScreenConfiguration) -> ExperimentalArrangement:
@@ -125,8 +122,7 @@ def remove_screen(ea: ExperimentalArrangement, screen: int) -> ExperimentalArran
     """Drop one screen (1-based position) by tracing out its detector index."""
     if ea.shape.num_screens < 2:
         raise DimensionError("cannot remove the only screen")
-    reduced = partial_trace(ea.alpha, [screen])
-    return require_valid(ExperimentalArrangement(reduced, ea.label))
+    return _valid_result(partial_trace(ea.alpha, [screen]), ea.label)
 
 
 def remove_screens(ea: ExperimentalArrangement, screens: Sequence[int]) -> ExperimentalArrangement:
@@ -134,8 +130,7 @@ def remove_screens(ea: ExperimentalArrangement, screens: Sequence[int]) -> Exper
     positions = sorted({int(s) for s in screens})
     if len(positions) >= ea.shape.num_screens:
         raise DimensionError("cannot remove every screen")
-    reduced = partial_trace(ea.alpha, positions)
-    return require_valid(ExperimentalArrangement(reduced, ea.label))
+    return _valid_result(partial_trace(ea.alpha, positions), ea.label)
 
 
 def extend_arrangement(
@@ -164,8 +159,7 @@ def extend_arrangement(
             raise NumericError("ancilla amplitudes must be finite")
         _unit_norm(phi, tolerances.STATE_NORM_TOL, "ancilla state norm is {norm!r}, expected 1")
     ancilla = DenseOperatorTensor(ScreenConfiguration((ancilla_dim,)), np.outer(phi, phi.conj()))
-    joint = tensor_product(ea.alpha, ancilla)
-    return require_valid(ExperimentalArrangement(joint, ea.label))
+    return _valid_result(tensor_product(ea.alpha, ancilla), ea.label)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ bytes on every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -44,7 +45,7 @@ class RenderOptions:
             raise ValueError(f"max_powers must be at least 1, got {self.max_powers}")
         if not 0.0 <= self.min_potentia <= 1.0:
             raise ValueError(f"min_potentia must lie in [0, 1], got {self.min_potentia}")
-        if self.canvas_width <= 0 or self.canvas_height <= 0:
+        if not all(math.isfinite(x) and x > 0 for x in (self.canvas_width, self.canvas_height)):
             raise ValueError("canvas dimensions must be positive")
 
 
@@ -96,13 +97,9 @@ def depicted_powers(
     """Powers to draw: potentia >= min_potentia, descending, ties by flat
     position, truncated to max_powers."""
     table = ea.potentia_table()
-    chosen = [
-        (flat, float(p)) for flat, p in enumerate(table) if p >= options.min_potentia
-    ]
-    chosen.sort(key=lambda item: (-item[1], item[0]))
-    if options.max_powers is not None:
-        chosen = chosen[: options.max_powers]
-    return [(ea.shape.multi_index(flat), p) for flat, p in chosen]
+    chosen = [(index, p) for index, p in zip(ea.shape.all_indices(), table.tolist()) if p >= options.min_potentia]
+    chosen.sort(key=lambda item: -item[1])  # stable: ties keep flat order
+    return chosen[: options.max_powers]
 
 
 def render_arrangement_svg(

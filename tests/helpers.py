@@ -14,7 +14,7 @@ import numpy as np
 
 import qlab
 from qlab.fileio import _ARRANGEMENT, _STATE, FORMAT_VERSION, _read_header
-from qlab.tolerances import FILE_NORM_TOL, FILE_RENORM_EPS
+from qlab.tolerances import FILE_NORM_TOL, FILE_RENORM_EPS, PRODUCT_TOL
 
 
 def two_detector_table() -> qlab.ExperimentalArrangement:
@@ -152,6 +152,38 @@ def loop_partial_trace(matrix: np.ndarray, counts: tuple[int, ...], traced: set[
                 ]
             out[loop_flat(bra_kept, kept_counts), loop_flat(ket_kept, kept_counts)] = acc
     return out
+
+
+def loop_screen_permutation_matrix(counts: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """Screen permutation from its definition: source multi-index s moves to
+    the target multi-index (s[order[0]-1], s[order[1]-1], ...)."""
+    target_counts = tuple(counts[p - 1] for p in order)
+    n = math.prod(counts)
+    out = np.zeros((n, n), dtype=np.complex128)
+    for src in loop_indices(counts):
+        dst = tuple(src[p - 1] for p in order)
+        out[loop_flat(dst, target_counts), loop_flat(src, counts)] = 1.0
+    return out
+
+
+def loop_is_product_across(ea: qlab.ExperimentalArrangement, cut: qlab.Bipartition) -> tuple[bool, float]:
+    """Product test by the matrix route: conjugate with the loop-built
+    permutation matrix through change_basis, then take both marginals with
+    remove_screens."""
+    order = cut.left + cut.right
+    n = ea.shape.num_screens
+    arranged = ea
+    if order != tuple(range(1, n + 1)):
+        counts = ea.shape.detector_counts
+        target = qlab.ScreenConfiguration(tuple(counts[p - 1] for p in order))
+        matrix = loop_screen_permutation_matrix(counts, order)
+        arranged = qlab.change_basis(ea, qlab.BasisTransformation(ea.shape, target, matrix))
+    k = len(cut.left)
+    left = qlab.remove_screens(arranged, range(k + 1, n + 1))
+    right = qlab.remove_screens(arranged, range(1, k + 1))
+    product = np.kron(left.alpha.entries, right.alpha.entries)
+    residual = float(np.max(np.abs(arranged.alpha.entries - product)))
+    return residual <= PRODUCT_TOL, residual
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:

@@ -36,6 +36,7 @@ def test_flat_round_trip_matches_loop_oracle():
             assert loop_flat(index, counts) == flat
             assert shape.flat_index(index) == flat
             assert shape.multi_index(flat) == index
+        assert list(shape.all_indices()) == list(loop_indices(counts))
 
 
 def test_dimension_and_screen_count():

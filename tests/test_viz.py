@@ -53,6 +53,12 @@ class TestRenderOptions:
         with pytest.raises(ValueError, match="canvas"):
             RenderOptions(canvas_width=-1.0)
 
+    @pytest.mark.parametrize("field", ["canvas_width", "canvas_height"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_canvas(self, field, value):
+        with pytest.raises(ValueError, match="^canvas dimensions must be positive$"):
+            RenderOptions(**{field: value})
+
 
 class TestDepictedPowers:
     def test_sorted_by_potentia_then_position(self):
