@@ -37,14 +37,11 @@ class Power:
     def flat(self) -> int:
         return self.shape.flat_index(self.index)
 
-    def projector_matrix(self) -> np.ndarray:
+    def projector(self) -> "GeneralProjector":
         n = self.shape.dimension
         m = np.zeros((n, n), dtype=np.complex128)
         m[self.flat, self.flat] = 1.0
-        return m
-
-    def projector(self) -> "GeneralProjector":
-        return GeneralProjector(DenseOperatorTensor(self.shape, self.projector_matrix()))
+        return GeneralProjector(DenseOperatorTensor(self.shape, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +191,6 @@ def build_from_mixture(
     return _valid_result(DenseOperatorTensor(shape, acc), label)
 
 
-def degree_of_complexity(ea: ExperimentalArrangement) -> int:
-    return ea.dimension
-
-
 def potentia_of_power(ea: ExperimentalArrangement, power: Power | Sequence[int]) -> float:
     """Diagonal entry at the power's multi-index.
 
@@ -257,33 +250,6 @@ def commutes(p: GeneralProjector, q: GeneralProjector) -> bool:
         raise DimensionError(f"projector dimensions differ: {p.dimension} vs {q.dimension}")
     a, b = p.matrix.entries, q.matrix.entries
     return float(np.max(np.abs(a @ b - b @ a))) <= tolerances.COMMUTATOR_TOL
-
-
-@dataclass(frozen=True, eq=False)
-class PowersGraph:
-    """Projectors as vertices, edges between commuting pairs (i < j pairs)."""
-
-    vertices: tuple[GeneralProjector, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        a, b = min(i, j), max(i, j)
-        return (a, b) in self.edges
-
-
-def build_powers_graph(projectors: Sequence[GeneralProjector]) -> PowersGraph:
-    verts = tuple(projectors)
-    dims = {p.dimension for p in verts}
-    if len(dims) > 1:
-        raise DimensionError(f"projectors live on different dimensions: {sorted(dims)}")
-    edges = set()
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if commutes(verts[i], verts[j]):
-                edges.add((i, j))
-    return PowersGraph(verts, frozenset(edges))
 
 
 @dataclass(frozen=True, eq=False)

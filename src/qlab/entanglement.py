@@ -20,7 +20,7 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement
 from .errors import DimensionError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _reordered, _unit_norm, partial_trace, singular_value_decomposition
+from .tensor import DenseOperatorTensor, _reordered, _unit_norm, partial_trace
 
 MAX_PROFILE_SCREENS = 12
 
@@ -95,13 +95,9 @@ def schmidt_decompose(
     v = _as_state(state, shape)
     cut.check_against(shape)
     counts = shape.detector_counts
-    order = cut.left + cut.right
-    tensorized = v.reshape(counts)
-    permuted = np.transpose(tensorized, [p - 1 for p in order])
+    permuted = v.reshape(counts).transpose([p - 1 for p in cut.left + cut.right])
     n_left = int(np.prod([counts[p - 1] for p in cut.left]))
-    n_right = int(np.prod([counts[p - 1] for p in cut.right]))
-    matrix = permuted.reshape(n_left, n_right)
-    u, s, vh = singular_value_decomposition(matrix)
+    u, s, vh = np.linalg.svd(permuted.reshape(n_left, -1), full_matrices=False)
     rank = int(np.sum(s > tolerances.SCHMIDT_RANK_TOL))
     return SchmidtResult(s, u, vh.T, rank)
 

@@ -27,10 +27,12 @@ stored values so round trips stay exact.
 
 A malformed file is reported at its first faulty record, in file order, as
 `entries[i].<field>` or `amplitudes[i].<field>`; within a record the checks
-run in the order object, index fields, duplicate, re, im. An integer too
-large for a float in re or im is a parse error. Reading and writing each cost
-one pass over the records: the checks, flattening and duplicate search run on
-whole arrays, and the writer formats all records at once.
+run in the order object, index fields, duplicate, re, im. An integer too large
+for a float in re or im is a parse error, as are non-UTF-8 text, JSON nested
+too deep to decode, and a label outside XML 1.0 text (lone surrogates, C0
+controls but tab, LF, CR), which the writers refuse too. Reading and writing
+each cost one pass over the records: the checks, flattening and duplicate
+search run on whole arrays, and the writer formats all records at once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import gc
 import itertools
 import json
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -69,6 +72,8 @@ _ARRANGEMENT = _Format(
 )
 _STATE = _Format("state file", "amplitudes", ("index",), "duplicate amplitude for index {index}")
 _MISSING = object()
+# outside XML 1.0 Char (section 2.2): C0 controls but tab, LF, CR; surrogates; U+FFFE, U+FFFF
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _reject_constant(text: str) -> None:
@@ -80,9 +85,17 @@ def _load_object(text: str, kind: str) -> dict:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"{kind}: invalid syntax at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError(f"{kind}: nesting too deep") from e
     if not isinstance(data, dict):
         raise ParseError(f"{kind}: top level must be an object")
     return data
+
+
+def _label_fault(label: str | None) -> str | None:
+    """Why a label cannot be stored, or None when it is absent or XML 1.0 text."""
+    bad = _NON_XML_CHAR.search(label or "")
+    return bad and f"label holds U+{ord(bad.group()):04X}, which is not an XML 1.0 character"
 
 
 def _require(data: dict, field: str, kind: str) -> object:
@@ -204,6 +217,8 @@ def _read_header(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | No
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError(f"{fmt.kind}: label must be a string")
+    if fault := _label_fault(label):
+        raise ParseError(f"{fmt.kind}: {fault}")
     records = _require(data, fmt.records, fmt.kind)
     if not isinstance(records, list):
         raise ParseError(f"{fmt.kind}: {fmt.records} must be a list")
@@ -242,6 +257,8 @@ def _parse(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np
 
 def _serialize(dense: np.ndarray, shape: ScreenConfiguration, label: str | None, fmt: _Format) -> str:
     """Canonical text: one record per nonzero of `dense`, in flat order."""
+    if fault := _label_fault(label):
+        raise ValidationError(f"refusing to serialize: {fault}")
     lines = ["{"]
     lines.append(f'  "version": {FORMAT_VERSION},')
     lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
@@ -309,13 +326,16 @@ def serialize_state(
     return _serialize(v, shape, label, _STATE)
 
 
-def read_arrangement(path: str, validate: bool = True) -> ExperimentalArrangement:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    return parse_arrangement(text, validate=validate)
+
+
+def read_arrangement(path: str, validate: bool = True) -> ExperimentalArrangement:
+    return parse_arrangement(_read_text(path), validate=validate)
 
 
 def write_arrangement(path: str, ea: ExperimentalArrangement) -> None:
@@ -325,12 +345,7 @@ def write_arrangement(path: str, ea: ExperimentalArrangement) -> None:
 
 
 def read_state(path: str) -> tuple[np.ndarray, ScreenConfiguration, str | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    return parse_state(text)
+    return parse_state(_read_text(path))
 
 
 def write_state(

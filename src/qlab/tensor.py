@@ -84,11 +84,6 @@ class DenseOperatorTensor:
         return self.entries.diagonal()
 
 
-def zeros(shape: ScreenConfiguration) -> DenseOperatorTensor:
-    n = shape.dimension
-    return DenseOperatorTensor(shape, np.zeros((n, n), dtype=np.complex128))
-
-
 def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOperatorTensor:
     """Joint tensor on the concatenated screen list.
 
@@ -99,14 +94,6 @@ def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOpera
     _check_capacity(a.dimension, b.dimension)
     shape = ScreenConfiguration(a.shape.detector_counts + b.shape.detector_counts)
     return DenseOperatorTensor(shape, np.kron(a.entries, b.entries))
-
-
-def conjugate_transpose(t: DenseOperatorTensor) -> DenseOperatorTensor:
-    return DenseOperatorTensor(t.shape, t.entries.conj().T)
-
-
-def trace(t: DenseOperatorTensor) -> complex:
-    return complex(np.trace(t.entries))
 
 
 def partial_trace(t: DenseOperatorTensor, screens: Iterable[int]) -> DenseOperatorTensor:
@@ -131,35 +118,7 @@ def partial_trace(t: DenseOperatorTensor, screens: Iterable[int]) -> DenseOperat
         arr = np.trace(arr, axis1=s - 1, axis2=remaining + s - 1)
         remaining -= 1
 
-    kept = [c for j, c in enumerate(counts, start=1) if j not in positions]
-    if not kept:
-        new_shape = ScreenConfiguration((1,))
-        return DenseOperatorTensor(new_shape, np.asarray(arr, dtype=np.complex128).reshape(1, 1))
-    new_shape = ScreenConfiguration(tuple(kept))
+    kept = tuple(c for j, c in enumerate(counts, start=1) if j not in positions)
+    new_shape = ScreenConfiguration(kept or (1,))
     m = new_shape.dimension
     return DenseOperatorTensor(new_shape, np.ascontiguousarray(arr).reshape(m, m))
-
-
-def hermitian_eigendecomposition(t: DenseOperatorTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, ties keep ascending-order first occurrence)
-    and matching orthonormal eigenvector columns.
-
-    Raises NumericError when the tensor is not Hermitian within tolerance.
-    """
-    a = t.entries
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tolerances.HERMITICITY_TOL:
-        raise NumericError(f"tensor is not Hermitian: max deviation {dev:.3e}")
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-def singular_value_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vh) with s descending and m = u @ diag(s) @ vh."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of rank {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("matrix entries must be finite")
-    return np.linalg.svd(arr, full_matrices=False)

@@ -261,6 +261,15 @@ def loop_parse_state(text: str):
     return v, shape, label
 
 
+def loop_is_xml_text(label: str) -> bool:
+    """Whether every character of `label` is an XML 1.0 Char (section 2.2)."""
+    for ch in label:
+        c = ord(ch)
+        if not (c in (0x9, 0xA, 0xD) or 0x20 <= c <= 0xD7FF or 0xE000 <= c <= 0xFFFD or 0x10000 <= c <= 0x10FFFF):
+            return False
+    return True
+
+
 def _loop_document(shape: qlab.ScreenConfiguration, label: str | None, name: str, records: list[str]) -> str:
     lines = ["{"]
     lines.append(f'  "version": {FORMAT_VERSION},')

@@ -13,10 +13,8 @@ from qlab import (
     ValidationError,
     build_from_mixture,
     build_from_state_vector,
-    build_powers_graph,
     commutes,
     configuration,
-    degree_of_complexity,
     potentia_of_power,
     potentia_of_projector,
     purity_abstract,
@@ -106,10 +104,6 @@ class TestBuilders:
         with pytest.raises(DimensionError, match="configurations"):
             build_from_mixture([0.5, 0.5], [a, b])
 
-    def test_degree_of_complexity(self):
-        assert degree_of_complexity(four_screen_pair()) == 16
-        assert degree_of_complexity(six_detector_certain()) == 6
-
 
 class TestPotentia:
     def test_two_detector_values(self):
@@ -164,32 +158,18 @@ class TestProjectors:
         first = GeneralProjector.from_matrix(FIRST_PROJECTOR)
         plus = GeneralProjector.from_matrix(PLUS_PROJECTOR)
         second = GeneralProjector.from_matrix(np.diag([0.0, 1.0]))
+        identity = GeneralProjector.identity(configuration(2))
         assert not commutes(first, plus)
+        assert not commutes(second, plus)
         assert commutes(first, second)
-        assert commutes(first, GeneralProjector.identity(configuration(2)))
+        for p in (first, second, plus):
+            assert commutes(p, identity)
 
     def test_commutes_dimension_check(self):
         a = GeneralProjector.identity(configuration(2))
         b = GeneralProjector.identity(configuration(3))
         with pytest.raises(DimensionError):
             commutes(a, b)
-
-    def test_powers_graph_edges(self):
-        shape = configuration(2)
-        first = GeneralProjector.from_matrix(FIRST_PROJECTOR, shape)
-        second = GeneralProjector.from_matrix(np.diag([0.0, 1.0]), shape)
-        plus = GeneralProjector.from_matrix(PLUS_PROJECTOR, shape)
-        identity = GeneralProjector.identity(shape)
-        graph = build_powers_graph([first, second, plus, identity])
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 2)
-        assert not graph.has_edge(1, 2)
-        # identity commutes with every vertex
-        for i in range(3):
-            assert graph.has_edge(i, 3)
-        assert not graph.has_edge(2, 2)
-        # symmetric access regardless of argument order
-        assert graph.has_edge(3, 0)
 
 
 class TestValuation:

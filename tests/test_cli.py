@@ -303,6 +303,13 @@ class TestErrorPaths:
         assert rc == 2
         assert "error[parse]" in err
 
+    def test_undecodable_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.ea"
+        path.write_bytes(b"\xff" + b'{"version": 1}')
+        rc, out, err = run(capsys, "validate", "--in", str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"error[parse]: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
     def test_invalid_arrangement_blocks_analysis(self, capsys, tmp_path):
         path = tmp_path / "bad.ea"
         path.write_text(

@@ -32,6 +32,7 @@ CASES = [
     ("validate --in bad.ea", False),
     ("validate --in absent.ea", True),
     ("validate --in broken.ea", True),
+    ("validate --in deep.ea", True),
     ("potentia --in pair.ea", True),
     ("potentia --in pair.ea --power 1,2,1,2", True),
     ("potentia --in table.ea --min-potentia 0.5", True),
@@ -81,6 +82,8 @@ CASES = [
     ("render --in table.ea --out table.svg --max-powers 1 --width 200 --height 100 --labels", True),
     ("render --in mixed.ea --out mixed.svg --labels --min-potentia 0.1", True),
     ("render --in pair.ea --out missing/pair.svg", True),
+    ("render --in surrogate.ea --out surrogate.svg --labels", True),
+    ("render --in control.ea --out control.svg --labels", True),
 ]
 
 
@@ -92,6 +95,7 @@ def make_inputs() -> dict[str, str]:
 
     c = qlab.configuration
     product = np.kron([0.6, 0.8], [0.0, 1.0, 0.0])
+    labelled = '{"version": 1, "factorization": [2], "label": "%s", "entries": [{"bra": [1], "ket": [1], "re": 1.0}]}\n'
     return {
         "pair.ea": qlab.serialize_arrangement(four_screen_pair()),
         "table.ea": qlab.serialize_arrangement(two_detector_table()),
@@ -99,6 +103,9 @@ def make_inputs() -> dict[str, str]:
         "bad.ea": '{"version": 1, "factorization": [2], "entries": ['
         '{"bra": [1], "ket": [1], "re": 0.9}, {"bra": [2], "ket": [2], "re": 0.2}]}\n',
         "broken.ea": "{nope}\n",
+        "deep.ea": "[" * 5000 + "]" * 5000 + "\n",
+        "surrogate.ea": labelled % "\\ud800",
+        "control.ea": labelled % "a\\u0000b",
         "bell.qs": qlab.serialize_state(bell_state(), c(2, 2)),
         "w.qs": qlab.serialize_state(w_state(), c(2, 2, 2)),
         "product.qs": qlab.serialize_state(product, c(2, 3)),

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ class TestArrangementRoundTrip:
         ea = qlab.ExperimentalArrangement(two_detector_table().alpha, label='odd "label"\n')
         back = parse_arrangement(serialize_arrangement(ea))
         assert back.label == ea.label
+
+    def test_label_keeps_tab_line_breaks_and_astral_characters(self):
+        ea = qlab.ExperimentalArrangement(two_detector_table().alpha, label="a\tb\r\n\U0001f600\ufffd")
+        assert parse_arrangement(serialize_arrangement(ea)).label == ea.label
+
+    @pytest.mark.parametrize("label", ["\ud800", "a\x00b", "\x1f", "\ufffe"])
+    def test_label_outside_xml_is_refused_both_ways(self, label, tmp_path):
+        ea = qlab.ExperimentalArrangement(two_detector_table().alpha, label=label)
+        path = tmp_path / "labelled.ea"
+        with pytest.raises(ValidationError, match="not an XML 1.0 character"):
+            write_arrangement(str(path), ea)
+        with pytest.raises(ValidationError, match="not an XML 1.0 character"):
+            serialize_state(bell_state(), configuration(2, 2), label=label)
+        assert not path.exists()
+        labelled = '{"label": %s,' % json.dumps(label)
+        with pytest.raises(ParseError, match=r"^arrangement file: label holds U\+[0-9A-F]{4}, which is not an XML"):
+            parse_arrangement(PAIR_TEXT.replace("{", labelled, 1))
+        state_text = serialize_state(bell_state(), configuration(2, 2))
+        with pytest.raises(ParseError, match=r"^state file: label holds U\+[0-9A-F]{4}, which is not an XML"):
+            parse_state(state_text.replace("{", labelled, 1))
 
     def test_zero_entries_omitted(self):
         text = serialize_arrangement(two_detector_table())
@@ -173,6 +194,21 @@ class TestArrangementErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             read_arrangement(str(tmp_path / "absent.ea"))
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin.ea"
+        path.write_bytes(b"\xff" + PAIR_TEXT.encode())
+        with pytest.raises(ParseError, match="cannot read .*can't decode byte 0xff"):
+            read_arrangement(str(path))
+        with pytest.raises(ParseError, match="cannot read .*can't decode byte 0xff"):
+            read_state(str(path))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        text = "[" * 5000 + "]" * 5000
+        with pytest.raises(ParseError, match="^arrangement file: nesting too deep$"):
+            parse_arrangement(text)
+        with pytest.raises(ParseError, match="^state file: nesting too deep$"):
+            parse_state(text)
 
 
 A = '{"bra": [1, 1], "ket": [1, 1], "re": 0.5}'
