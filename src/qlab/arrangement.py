@@ -10,6 +10,7 @@ pairwise orthogonal families.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -21,6 +22,14 @@ from .screens import ScreenConfiguration
 from .tensor import DenseOperatorTensor, _frozen_complex_matrix, _unit_norm
 
 SAMPLER_ALGORITHM = "numpy-pcg64-multinomial"
+# outside XML 1.0 Char (section 2.2): C0 controls but tab, LF, CR; surrogates; U+FFFE, U+FFFF
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _label_fault(label: str | None) -> str | None:
+    """Why a label cannot be stored or drawn, or None when it is absent or XML 1.0 text."""
+    bad = _NON_XML_CHAR.search(label or "")
+    return bad and f"label holds U+{ord(bad.group()):04X}, which is not an XML 1.0 character"
 
 
 @dataclass(frozen=True)

@@ -169,11 +169,15 @@ def _schmidt(args, state):
 
 def _separability(args, state):
     v, shape, _ = state
-    flag, factors = is_fully_separable_pure(v, shape)
     n = shape.num_screens
     cuts = [Bipartition.split([j], n) for j in range(1, n + 1)] if n >= 2 else []
-    ranks = [(f"rank[{j}]", schmidt_decompose(v, shape, cut).rank) for j, cut in enumerate(cuts, start=1)]
-    fields = [("factorization", _key(shape.detector_counts)), ("fully_separable", flag), *ranks]
+    ranks = [schmidt_decompose(v, shape, cut).rank for cut in cuts]
+    if ranks and ranks[0] != 1:  # the first peel of is_fully_separable_pure is this screen-1 cut
+        flag, factors = False, None
+    else:
+        flag, factors = is_fully_separable_pure(v, shape)
+    fields = [("factorization", _key(shape.detector_counts)), ("fully_separable", flag)]
+    fields += [(f"rank[{j}]", rank) for j, rank in enumerate(ranks, start=1)]
     return fields + [("factors", len(factors) if factors else 0)], True
 
 

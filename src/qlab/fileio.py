@@ -30,9 +30,16 @@ A malformed file is reported at its first faulty record, in file order, as
 run in the order object, index fields, duplicate, re, im. An integer too large
 for a float in re or im is a parse error, as are non-UTF-8 text, JSON nested
 too deep to decode, and a label outside XML 1.0 text (lone surrogates, C0
-controls but tab, LF, CR), which the writers refuse too. Reading and writing
-each cost one pass over the records: the checks, flattening and duplicate
-search run on whole arrays, and the writer formats all records at once.
+controls but tab, LF, CR), which the writers refuse too.
+
+Text in the writer's canonical layout (the same bytes but for the number
+tokens, which may be any JSON numbers) is read in C, about a megabyte of
+records at a time: whole-array byte tests hold each chunk to the record
+layout and the JSON number grammar, and numpy's text reader converts the
+numbers with the same correct rounding as JSON's float, so the arrays are
+bit-identical. Any other text, canonical text with a fault included, is
+decoded as JSON and checked in one pass over the records on whole arrays,
+with the errors above. The writer formats all records at once.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tolerances
-from .arrangement import ExperimentalArrangement, require_valid, validate_isa
+from .arrangement import ExperimentalArrangement, _label_fault, require_valid, validate_isa
 from .errors import DimensionError, ParseError, ValidationError
 from .screens import ScreenConfiguration
 from .tensor import DenseOperatorTensor, _unit_norm
@@ -72,8 +79,25 @@ _ARRANGEMENT = _Format(
 )
 _STATE = _Format("state file", "amplitudes", ("index",), "duplicate amplitude for index {index}")
 _MISSING = object()
-# outside XML 1.0 Char (section 2.2): C0 controls but tab, LF, CR; surrogates; U+FFFE, U+FFFF
-_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_TAIL = "\n  ]\n}\n"  # canonical text after the last record
+_EMPTY_TAIL = "]\n}\n"  # after the head but its last line break, when there are no records
+_CHUNK_CHARS = 1 << 20  # canonical records are read this much text at a time, which bounds the working memory
+_NUMBER_CHARS = b"0123456789.eE+-"
+_KEEP_NUMBERS = bytes(c if c in _NUMBER_CHARS + b"\n" else 32 for c in range(256))  # all else becomes a space
+# finds the shape and label of a canonical head, which is then compared byte for byte
+_HEAD = re.compile(r'\{\n.*\n  "factorization": \[(\d+(?:, \d+)*)\],\n(?:  "label": (".*"),\n)?')
+
+
+def _byte_class(chars: bytes) -> np.ndarray:
+    member = np.zeros(256, dtype=bool)
+    member[list(chars)] = True
+    return member
+
+
+_DIGIT = _byte_class(b"0123456789")
+_EXPONENT = _byte_class(b"eE")
+_BEFORE_NUMBER = _byte_class(b"[ ")
+_AFTER_NUMBER = _byte_class(b",]}")
 
 
 def _reject_constant(text: str) -> None:
@@ -90,12 +114,6 @@ def _load_object(text: str, kind: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{kind}: top level must be an object")
     return data
-
-
-def _label_fault(label: str | None) -> str | None:
-    """Why a label cannot be stored, or None when it is absent or XML 1.0 text."""
-    bad = _NON_XML_CHAR.search(label or "")
-    return bad and f"label holds U+{ord(bad.group()):04X}, which is not an XML 1.0 character"
 
 
 def _require(data: dict, field: str, kind: str) -> object:
@@ -244,8 +262,154 @@ def _collector_paused():
         gc.enable()
 
 
-def _parse(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray]:
-    """Configuration, label and dense array, one axis per index field."""
+def _record_format(fmt: _Format) -> str:
+    """%-format of one canonical record: the index fields' JSON lists, then re and im."""
+    return "    {" + "".join(f'"{field}": %s, ' for field in fmt.index_fields) + '"re": %.17g, "im": %.17g}'
+
+
+def _head(shape: ScreenConfiguration, label: str | None, fmt: _Format) -> str:
+    """Canonical text before the first record."""
+    lines = ["{", f'  "version": {FORMAT_VERSION},']
+    lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
+    if label is not None:
+        lines.append(f'  "label": {json.dumps(label)},')
+    lines.append(f'  "{fmt.records}": [')
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The fixed parts of one shape's canonical records.
+
+    A record holds one number per slot: the index components of each index
+    field, then re and im. `skeleton` is a record and its separator with
+    every number character deleted, field names included; `name_numbers`
+    gives those deleted from names as (name, offset, byte).
+    """
+
+    skeleton: bytes
+    name_numbers: tuple[tuple[int, int, int], ...]
+    index_slots: int
+    dims: tuple[int, ...]
+    digits: int  # of the largest detector count
+
+    @classmethod
+    def of(cls, shape: ScreenConfiguration, fmt: _Format) -> _Layout:
+        fields = len(fmt.index_fields)
+        record = _record_format(fmt) % ((json.dumps([1] * shape.num_screens),) * fields + (0, 0))
+        names = [field.encode() for field in (*fmt.index_fields, "re", "im")]
+        return cls(
+            skeleton=(record + ",\n").encode().translate(None, _NUMBER_CHARS),
+            name_numbers=tuple((j, k, c) for j, name in enumerate(names) for k, c in enumerate(name) if c in _NUMBER_CHARS),
+            index_slots=shape.num_screens * fields,
+            dims=shape.detector_counts * fields,
+            digits=len(str(max(shape.detector_counts))),
+        )
+
+
+def _read_chunk(chunk: bytes, layout: _Layout, flat: np.ndarray, last: int) -> int | None:
+    """Store whole canonical records, each ending in ",\n", into `flat`.
+
+    Returns the flat position of the last record. Returns None, having
+    stored part or none, unless every record has the canonical layout,
+    holds JSON number tokens (digits alone in index slots), and lies in
+    range, finite and after `last` in flat order. numpy parses re and im in
+    C; it also reads +1, .5, 1., 01 and -01, which JSON refuses, so those
+    are refused here first.
+    """
+    stripped = chunk.translate(None, _NUMBER_CHARS)
+    n = len(stripped) // len(layout.skeleton)
+    if stripped != layout.skeleton * n:
+        return None
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    quotes = np.flatnonzero(raw == ord('"')).reshape(n, -1)
+    spaced = bytearray(chunk.translate(_KEEP_NUMBERS))  # numbers and line breaks; names are blanked below
+    numbers = np.frombuffer(spaced, dtype=np.uint8)
+    for j, k, c in layout.name_numbers:
+        at = quotes[:, 2 * j] + 1 + k
+        if not (raw[at] == c).all():
+            return None
+        numbers[at] = ord(" ")
+    is_number = numbers > ord(" ")
+    edges = np.flatnonzero(is_number[1:] ^ is_number[:-1]) + 1
+    if edges.size != 2 * n * (layout.index_slots + 2):  # also odd when a run starts the chunk
+        return None
+    starts, ends = edges[0::2].reshape(n, -1), edges[1::2].reshape(n, -1)
+    # Past the skeleton, a number character can sit in a slot only: between
+    # "[" or " " and ",", "]" or "}". So each slot holds one token.
+    if not (_BEFORE_NUMBER[raw[starts - 1]].all() and _AFTER_NUMBER[raw[ends]].all()):
+        return None
+    odd = np.flatnonzero(is_number & ((numbers < ord("0")) | (numbers > ord("9"))))  # . e E + -
+    char, before = numbers[odd], numbers[odd - 1]
+    lead = starts + (numbers[starts] == ord("-"))
+    if (
+        ((char == ord(".")) & ~(_DIGIT[before] & _DIGIT[numbers[odd + 1]])).any()
+        or ((char == ord("+")) & ~_EXPONENT[before]).any()
+        or ((numbers[lead] == ord("0")) & _DIGIT[numbers[lead + 1]]).any()
+    ):
+        return None
+    first, length = starts[:, : layout.index_slots], (ends - starts)[:, : layout.index_slots]
+    if (length > layout.digits).any():
+        return None
+    index = np.zeros(first.shape, dtype=np.intp)
+    for k in range(layout.digits):
+        more = length > k
+        at = first[more] + k
+        digit = numbers[at] - ord("0")  # wraps above 9 for . e E + -
+        if (digit > 9).any():
+            return None
+        index[more] = index[more] * 10 + digit
+        numbers[at] = ord(" ")  # loadtxt is left re and im alone
+    try:
+        values = np.loadtxt(spaced.decode("ascii").splitlines(), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:  # a token that is no float, such as 1e or -
+        return None
+    # JSON reads -0 as the integer 0, so as +0.0; -0.0 and -0e0 stay -0.0
+    at = starts[:, -2:]
+    values[(ends[:, -2:] - at == 2) & (numbers[at] == ord("-")) & (numbers[at + 1] == ord("0"))] = 0.0
+    if not (np.isfinite(values).all() and ((index >= 1) & (index <= layout.dims)).all()):
+        return None
+    keys = np.ravel_multi_index(tuple(index.T - 1), layout.dims)
+    if keys[0] <= last or (keys[1:] <= keys[:-1]).any():
+        return None
+    flat.real[keys] = values[:, 0]
+    flat.imag[keys] = values[:, 1]
+    return int(keys[-1])
+
+
+def _read_canonical(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray] | None:
+    """What _parse returns, for text in the layout _serialize writes (any
+    number of records); None for any other text."""
+    found = text.isascii() and _HEAD.match(text)
+    if not found:
+        return None
+    try:
+        shape = ScreenConfiguration(tuple(map(int, found[1].split(", "))))
+        label = found[2] and json.loads(found[2])
+    except (ValueError, DimensionError):
+        return None
+    if _label_fault(label):
+        return None
+    head = _head(shape, label, fmt)
+    dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
+    if text == head[:-1] + _EMPTY_TAIL:
+        return shape, label, dense
+    if not (text.startswith(head) and text.endswith(_TAIL)):
+        return None
+    layout = _Layout.of(shape, fmt)
+    start, stop, last = len(head), len(text) - len(_TAIL), -1
+    while start < stop:
+        end = text.find("\n", start + _CHUNK_CHARS, stop) + 1 or stop
+        chunk = text[start:end].encode("ascii") + (b",\n" if end == stop else b"")
+        last = _read_chunk(chunk, layout, dense.reshape(-1), last)
+        if last is None:
+            return None
+        start = end
+    return shape, label, dense
+
+
+def _parse_json(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray]:
+    """What _parse returns, for any text: decode it as JSON, then check every record."""
     with _collector_paused():
         shape, label, records = _read_header(text, fmt)
         keys, values = _read_records(records, fmt, shape)
@@ -255,27 +419,22 @@ def _parse(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np
     return shape, label, dense
 
 
+def _parse(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray]:
+    """Configuration, label and dense array, one axis per index field."""
+    return _read_canonical(text, fmt) or _parse_json(text, fmt)
+
+
 def _serialize(dense: np.ndarray, shape: ScreenConfiguration, label: str | None, fmt: _Format) -> str:
     """Canonical text: one record per nonzero of `dense`, in flat order."""
     if fault := _label_fault(label):
         raise ValidationError(f"refusing to serialize: {fault}")
-    lines = ["{"]
-    lines.append(f'  "version": {FORMAT_VERSION},')
-    lines.append('  "factorization": [' + ", ".join(map(str, shape.detector_counts)) + "],")
-    if label is not None:
-        lines.append(f'  "label": {json.dumps(label)},')
+    head = _head(shape, label, fmt)
     index_text = list(map(json.dumps, shape.all_indices()))
     flat = np.flatnonzero(dense)  # -0.0 counts as zero, as it compares equal to 0
     values = dense.take(flat)
     columns = [map(index_text.__getitem__, axis.tolist()) for axis in np.unravel_index(flat, dense.shape)]
-    record = "    {" + "".join(f'"{field}": %s, ' for field in fmt.index_fields) + '"re": %.17g, "im": %.17g}'
-    body = ",\n".join(map(record.__mod__, zip(*columns, values.real.tolist(), values.imag.tolist())))
-    if body:
-        lines += [f'  "{fmt.records}": [', body, "  ]"]
-    else:
-        lines.append(f'  "{fmt.records}": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    body = ",\n".join(map(_record_format(fmt).__mod__, zip(*columns, values.real.tolist(), values.imag.tolist())))
+    return head + body + _TAIL if body else head[:-1] + _EMPTY_TAIL
 
 
 def parse_arrangement(text: str, validate: bool = True) -> ExperimentalArrangement:

@@ -13,9 +13,6 @@ TRACE_TOL = 1e-10
 # Diagonal entries (potentia) must be real and inside [0, 1] up to this slack.
 DIAGONAL_TOL = 1e-9
 
-# Factorized reconstruction (eigendecomposition, SVD, Schmidt).
-RECONSTRUCTION_TOL = 1e-9
-
 # General projectors: idempotence and Hermiticity.
 PROJECTOR_TOL = 1e-9
 COMMUTATOR_TOL = 1e-9

@@ -6,7 +6,8 @@ dot on one screen, a segment across two, a filled polygon across three or
 more. Potentia maps to opacity (clamped so faint powers stay visible) and is
 optionally written next to the glyph. Output is plain SVG 1.1 text assembled
 with fixed formatting, so the same arrangement and options give the same
-bytes on every run.
+bytes on every run. A label outside XML 1.0 text, which no SVG can hold, is a
+ValidationError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from .arrangement import ExperimentalArrangement
+from .arrangement import ExperimentalArrangement, _label_fault
+from .errors import ValidationError
 from .screens import ScreenConfiguration
 
 MIN_OPACITY = 0.05
@@ -105,6 +107,8 @@ def depicted_powers(
 def render_arrangement_svg(
     ea: ExperimentalArrangement, options: RenderOptions = RenderOptions()
 ) -> str:
+    if fault := _label_fault(ea.label):
+        raise ValidationError(f"refusing to render: {fault}")
     plan = layout(ea.shape, options)
     shape = ea.shape
     n = shape.num_screens

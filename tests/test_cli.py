@@ -200,15 +200,24 @@ class TestAnalysisCommands:
         assert report["rank"] == "2"
         assert float(report["coefficient[0]"]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
-    def test_separability_entangled(self, capsys, tmp_path):
+    def test_separability_entangled(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "w.qs")
         write_state(path, w_state(), configuration(2, 2, 2))
+        # rank[1] = 2 already decides; the peeling test would repeat that SVD
+        monkeypatch.setattr(qlab.cli, "is_fully_separable_pure", None)
         rc, out, _ = run(capsys, "separability", "--state", path)
         report = as_dict(out)
         assert rc == 0
         assert report["fully_separable"] == "false"
         assert report["rank[1]"] == report["rank[2]"] == report["rank[3]"] == "2"
         assert report["factors"] == "0"
+
+    def test_separability_entangled_past_screen_one(self, capsys, tmp_path):
+        path = str(tmp_path / "zero_bell.qs")
+        write_state(path, np.kron([1.0, 0.0], bell_state()), configuration(2, 2, 2))
+        rc, out, _ = run(capsys, "separability", "--state", path)
+        report = as_dict(out)
+        assert (report["fully_separable"], report["rank[1]"], report["factors"]) == ("false", "1", "0")
 
     def test_separability_product(self, capsys, tmp_path):
         path = str(tmp_path / "product.qs")

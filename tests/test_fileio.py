@@ -331,3 +331,47 @@ class TestStateFiles:
     def test_wrong_length_vector(self):
         with pytest.raises(ValidationError, match="length"):
             serialize_state(bell_state(), configuration(2, 3))
+
+
+class TestCanonicalReader:
+    """Canonical text is read chunk by chunk without the JSON decoder, to the same result."""
+
+    def test_body_of_canonical_text_is_not_decoded_as_json(self, monkeypatch):
+        text = serialize_arrangement(qlab.ExperimentalArrangement(four_screen_pair().alpha, label="pair"))
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+        parse_arrangement(text)
+        assert decoded == ['"pair"']  # the label literal alone
+        other = text.replace(", ", ",")
+        parse_arrangement(other)
+        assert decoded[-1] == other
+
+    @staticmethod
+    def records_text(count: int) -> str:
+        """Canonical .ea text of `count` equally long records (not a valid arrangement)."""
+        shape = configuration(8, 8, 2)
+        dense = np.zeros((shape.dimension, shape.dimension), dtype=np.complex128)
+        dense.flat[:count] = complex(0.5, -0.25)
+        return qlab.fileio._serialize(dense, shape, None, qlab.fileio._ARRANGEMENT)
+
+    def test_record_counts_around_one_chunk(self, monkeypatch):
+        fileio = qlab.fileio
+        step = len(self.records_text(2)) - len(self.records_text(1))  # one record and its ",\n"
+        # record j's line break ends body position j * step - 1; a chunk is cut
+        # at the first line break at or past _CHUNK_CHARS
+        two = -(-(fileio._CHUNK_CHARS + 1) // step) + 1  # the fewest records that make two chunks
+        chunks = []
+        read_chunk = fileio._read_chunk
+        monkeypatch.setattr(fileio, "_read_chunk", lambda *a: chunks.append(1) or read_chunk(*a))
+        for count, expected in ((two - 1, 1), (two, 2), (two + 1, 2)):
+            chunks.clear()
+            text = self.records_text(count)
+            fast = fileio._read_canonical(text, fileio._ARRANGEMENT)
+            assert len(chunks) == expected
+            assert fast[2].tobytes() == fileio._parse_json(text, fileio._ARRANGEMENT)[2].tobytes()
+            assert np.count_nonzero(fast[2]) == count
+        lines = text.split("\n")
+        lines[-4] = lines[4].rstrip(",")  # the last record repeats the first, across the chunk boundary
+        with pytest.raises(ParseError, match=r"^entries\[%d\]: duplicate entry" % (count - 1)):
+            parse_arrangement("\n".join(lines), validate=False)

@@ -4,6 +4,8 @@ algebraic relation up to the documented tolerances."""
 
 import copy
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qlab import (
     change_basis,
     configuration,
     extend_arrangement,
+    fileio,
     parse_arrangement,
     parse_state,
     refactorize,
@@ -364,3 +367,161 @@ def test_parse_state_matches_loop_oracle(counts, seed, kind, label, data):
         assert got[1:] == want[1:]
         if not mutate:
             assert np.array_equal(got[0], v)
+
+
+# Canonical text and one-edit variants of it: the chunked canonical reader
+# must give what the JSON path gives, bit for bit, or fall back to it.
+EXTREME_REALS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, -1e17, 12345678901234567.0, 0.1, -2.0,
+)
+reals = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EXTREME_REALS)
+    | st.integers(min_value=-(10**17), max_value=10**17).map(float)  # %.17g prints these as integers
+)
+FORMATS = st.sampled_from([fileio._ARRANGEMENT, fileio._STATE])
+
+
+@st.composite
+def canonical_texts(draw, fmt) -> tuple[str, bool]:
+    """Text _serialize writes for up to twelve nonzero records, and whether its
+    label is XML text (if not, the label is spliced in, as no writer emits it)."""
+    shape = configuration(*draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)))
+    dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
+    for flat in draw(st.lists(st.integers(min_value=0, max_value=dense.size - 1), max_size=12)):
+        dense.flat[flat] = complex(draw(reals), draw(reals))
+    label = draw(labels)
+    if label is None or loop_is_xml_text(label):
+        return fileio._serialize(dense, shape, label, fmt), True
+    text = fileio._serialize(dense, shape, "x", fmt)
+    return text.replace('"label": "x"', '"label": ' + json.dumps(label), 1), False
+
+
+VALUE_EDITS = ("01", "-01", "+1", ".5", "1.", "1.e5", "1e", "-", "1e400", "9" * 400, "-0", "-0.0", "-0e0",
+               "0e0", "1E+2", "", "1 ", "--1", "1e5e5")
+INDEX_EDITS = ("1.0", "1e0", "0", "01", "+1", "-1", "", "5", "12", "9" * 30, " 1", "e", "E", "-")
+# one edit each: a token, a name, an inserted character, the order or count of records, the header
+EDITS = {
+    "value": VALUE_EDITS,
+    "index": INDEX_EDITS,
+    "name": ("1", "E", "-", "e1", "1e", ""),  # in place of the e of a field name
+    "insert": tuple("0123456789.eE+-") + (" ", "\u00e9", "\u00a0", "\uff11"),
+    "swap": (None,),
+    "duplicate": (None,),
+    "reorder": (None,),
+    "missing_im": (None,),
+    "move": (None,),  # re's token leaves its slot for a place past the record
+    "crlf": (1, 3, -1),
+    "trailing": ("x", " ", "\n", "0", "{}"),
+    "header": (('"version": 1', '"version": 2'), ('"version": 1', '"version": 1.0'), ("[", "[0"), ("[", "[ "),
+               ("[", "[01, "), ('"factorization"', '"factorisation"'), ("{", "{ ")),
+}
+
+
+def edited(text: str, kind: str, option, pick) -> str:
+    """`text` with one edit; pick(n) chooses one of n places (a record, field or offset)."""
+    if kind == "crlf":
+        return text.replace("\n", "\r\n", option)
+    if kind == "trailing":
+        return text + option
+    lines = text.split("\n")
+    records = [i for i, line in enumerate(lines) if line.startswith("    {")]
+    if kind == "header" or not records:
+        old, new = option if kind == "header" else ("{", "{ ")
+        return text.replace(old, new, 1)
+    i, j = records[pick(len(records))], records[pick(len(records))]
+    line = lines[i]
+    if kind == "value":
+        field = ("re", "im")[pick(2)]
+        lines[i] = re.sub(f'"{field}": [^,}}]*', lambda _: f'"{field}": {option}', line, count=1)
+    elif kind == "index":
+        lists = list(re.finditer(r"\[([^\]]*)\]", line))
+        found = lists[pick(len(lists))]
+        parts = found[1].split(", ")
+        parts[pick(len(parts))] = option
+        lines[i] = line[: found.start(1)] + ", ".join(parts) + line[found.end(1) :]
+    elif kind == "name":
+        names = [m.start() + m[0].index("e") for m in re.finditer(r'"\w*e\w*"', line)]
+        at = names[pick(len(names))]
+        lines[i] = line[:at] + option + line[at + 1 :]
+    elif kind == "insert":
+        at = pick(len(line) + 1)
+        lines[i] = line[:at] + option + line[at:]
+    elif kind == "swap":  # each line keeps its own separator
+        a, b = line.rstrip(","), lines[j].rstrip(",")
+        lines[i], lines[j] = b + line[len(a) :], a + lines[j][len(b) :]
+    elif kind == "duplicate":
+        lines.insert(j, line.rstrip(",") + ",")
+    elif kind == "move":
+        token = re.search(r'"re": ([^,]*)', line)[1]
+        lines[i] = line.replace('"re": ' + token, '"re": ', 1).replace("}", "}" + token, 1)
+    elif kind == "reorder":
+        lines[i] = re.sub(r'"re": ([^,]*), "im": ([^}]*)', r'"im": \2, "re": \1', line)
+    else:
+        lines[i] = re.sub(r', "im": [^}]*', "", line)
+    return "\n".join(lines)
+
+
+def read_outcome(read, text):
+    """Configuration, label and array bits a reader returns, or the type and message of what it raises."""
+    try:
+        result = read(text)
+    except qlab.QLabError as e:
+        return type(e), str(e)
+    if isinstance(result, qlab.ExperimentalArrangement):
+        result = result.shape, result.label, result.alpha.entries
+    elif isinstance(result[1], qlab.ScreenConfiguration):  # parse_state: (amplitudes, shape, label)
+        result = result[1], result[2], result[0]
+    shape, label, dense = result
+    return shape, label, dense.shape, dense.view(np.int64).tobytes()
+
+
+def check_readers(text: str, fmt, chunk: int):
+    """The reader _parse uses agrees with the JSON path, the public parser with
+    its loop oracle; returns what the canonical reader gave (None: fell back)."""
+    # chunk 1 puts each record in a chunk of its own; the norm of a state
+    # holding the largest doubles overflows to inf, which is refused
+    with mock.patch.object(fileio, "_CHUNK_CHARS", chunk), np.errstate(over="ignore"):
+        fast = fileio._read_canonical(text, fmt)
+        got = read_outcome(lambda t: fileio._parse(t, fmt), text)
+        if fmt is fileio._ARRANGEMENT:
+            public = read_outcome(lambda t: parse_arrangement(t, validate=False), text)
+            oracle = read_outcome(lambda t: loop_parse_arrangement(t, validate=False), text)
+        else:
+            public, oracle = read_outcome(parse_state, text), read_outcome(loop_parse_state, text)
+    assert got == read_outcome(lambda t: fileio._parse_json(t, fmt), text)
+    assert public == oracle
+    if fast is not None:
+        assert read_outcome(lambda t: fast, text) == got
+    return fast
+
+
+@settings(max_examples=300)
+@given(fmt=FORMATS, chunk=st.sampled_from([1, 150, fileio._CHUNK_CHARS]), data=st.data())
+def test_canonical_reader_matches_json_path_and_oracle(fmt, chunk, data):
+    text, xml_label = data.draw(canonical_texts(fmt))
+    if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(sorted(EDITS)))
+        option = data.draw(st.sampled_from(EDITS[kind]))
+        check_readers(edited(text, kind, option, lambda n: data.draw(st.integers(0, n - 1))), fmt, chunk)
+    else:
+        assert (check_readers(text, fmt, chunk) is not None) == xml_label
+
+
+SAMPLE_VALUES = (complex(0.5, -0.0), complex(-0.0, 1e16), complex(5e-324, -1.7976931348623157e308),
+                 complex(1 / 3, 2.0), complex(-12345678901234567.0, 1e-300))
+
+
+@pytest.mark.parametrize("counts", [(2, 3), (24,)])  # 24: an index token E would read as 21
+@pytest.mark.parametrize("fmt", [fileio._ARRANGEMENT, fileio._STATE], ids=["ea", "qs"])
+@pytest.mark.parametrize("kind", sorted(EDITS))
+def test_canonical_reader_on_every_listed_edit(kind, fmt, counts):
+    shape = configuration(*counts)
+    dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
+    dense.flat[np.linspace(0, dense.size - 1, len(SAMPLE_VALUES)).astype(int)] = SAMPLE_VALUES
+    text = fileio._serialize(dense, shape, "sample", fmt)
+    assert check_readers(text, fmt, 1) is not None
+    for option in EDITS[kind]:
+        for pick in (lambda n: 0, lambda n: n - 1, lambda n: n // 2):
+            check_readers(edited(text, kind, option, pick), fmt, 1)

@@ -158,6 +158,12 @@ class TestDocumentShape:
         bare = ET.fromstring(render_arrangement_svg(two_detector_table()))
         assert bare.find(SVG_NS + "title").text == "arrangement [2]"
 
+    @pytest.mark.parametrize("label", ["a\x00b", "\ud800"])
+    def test_label_outside_xml_is_refused(self, label):
+        ea = qlab.ExperimentalArrangement(two_detector_table().alpha, label=label)
+        with pytest.raises(qlab.ValidationError, match="not an XML 1.0 character"):
+            render_arrangement_svg(ea)
+
     def test_byte_determinism(self):
         ea = qlab.random_arrangement(configuration(2, 3), 11)
         assert render_arrangement_svg(ea) == render_arrangement_svg(ea)
