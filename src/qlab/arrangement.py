@@ -336,8 +336,9 @@ def purity_operational(ea: ExperimentalArrangement) -> OperationalPurity:
 
     In the eigenbasis the arrangement is diagonal, so a unit eigenvalue means
     one power there carries potentia 1 and every other power carries 0.
+    Reads the tensor's cached spectrum.
     """
-    top = float(np.linalg.eigvalsh(ea.alpha.entries)[-1])
+    top = float(ea.alpha.spectrum[-1])
     return OperationalPurity(top, abs(top - 1.0) <= tolerances.PURITY_TOL)
 
 

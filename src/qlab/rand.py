@@ -27,21 +27,36 @@ def random_state_vector(dim: int, rng: int | np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase correction."""
+def _haar_columns(dim: int, rank: int, rng: int | np.random.Generator) -> np.ndarray:
+    """The first `rank` columns of random_unitary(dim, rng), in O(dim^2 rank).
+
+    Draws the same full Gaussian matrix, so the generator ends in the same
+    state, but takes the QR of its first `rank` columns only. Householder QR
+    builds column k of Q from the first k columns of the input, so the
+    columns agree with the full route up to rounding.
+    """
     rng = make_rng(rng)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(z[:, :rank])
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
+def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with phase correction (Mezzadri 2007)."""
+    return _haar_columns(dim, dim, rng)
+
+
 def random_projector(dim: int, rank: int, rng: int | np.random.Generator) -> np.ndarray:
-    """Rank-r projector from random orthonormal columns."""
+    """Rank-r projector C C^dagger, C the first r columns of a Haar unitary.
+
+    It uses the same draws as random_unitary(dim, rng), but a QR of r
+    columns only. The result therefore differs from the projector built
+    from the full unitary's columns at rounding level (about 2e-16).
+    """
     if not 0 < rank <= dim:
         raise ValueError(f"rank must be in 1..{dim}, got {rank}")
-    u = random_unitary(dim, rng)
-    cols = u[:, :rank]
+    cols = _haar_columns(dim, rank, rng)
     return cols @ cols.conj().T
 
 

@@ -9,6 +9,7 @@ immutable after construction; every operation returns a new tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,6 +76,17 @@ class DenseOperatorTensor:
     @property
     def dimension(self) -> int:
         return self.shape.dimension
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the entries read as a Hermitian matrix.
+
+        Computed once per tensor, since entries never change, and returned
+        read-only. Assumes Hermitian entries: eigvalsh reads one triangle.
+        """
+        values = np.linalg.eigvalsh(self.entries)
+        values.setflags(write=False)
+        return values
 
     def entry(self, bra: Sequence[int], ket: Sequence[int]) -> complex:
         """Entry at a (bra, ket) pair of 1-based multi-indices."""

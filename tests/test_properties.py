@@ -33,8 +33,10 @@ from helpers import (
     loop_parse_arrangement,
     loop_parse_state,
     loop_partial_trace,
+    loop_random_projector,
     loop_serialize_arrangement,
     loop_serialize_state,
+    loop_verify_basis_invariance,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -178,6 +180,51 @@ def test_basis_invariance_verifier_passes(counts, seed):
     ea = draw_arrangement(counts, seed)
     bt = BasisTransformation.random(ea.shape, seed)
     assert qlab.verify_basis_invariance(ea, bt, seed=seed).passed
+
+
+# Basis invariance by the O(N^2 r) route against the dense loop_* oracle:
+# same verdict and counts, residuals equal up to rounding.
+
+TRANSFORMATIONS = {
+    "random unitary": lambda shape, seed: BasisTransformation.random(shape, seed),
+    "refactorizing unitary": lambda shape, seed: BasisTransformation.random(shape, seed, configuration(shape.dimension)),
+    "screen permutation": lambda shape, seed: BasisTransformation.screen_permutation(
+        shape, qlab.make_rng(seed).permutation(shape.num_screens) + 1
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRANSFORMATIONS))
+@given(
+    counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    seed=seeds,
+    extra=st.integers(min_value=0, max_value=4),
+)
+def test_basis_invariance_matches_dense_oracle(kind, counts, seed, extra):
+    ea = draw_arrangement(counts, seed)
+    bt = TRANSFORMATIONS[kind](ea.shape, seed + 1)
+    new = qlab.verify_basis_invariance(ea, bt, extra, seed + 2)
+    old = loop_verify_basis_invariance(ea, bt, extra, seed + 2)
+    assert (new.passed, new.degree, new.num_projectors) == (old.passed, old.degree, old.num_projectors)
+    assert abs(new.spectrum_residual - old.spectrum_residual) <= 1e-12
+    assert abs(new.valuation_residual - old.valuation_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_random_projector_matches_full_qr_route(rank):
+    for seed in range(5):
+        p = qlab.random_projector(8, rank, qlab.make_rng(seed))
+        assert np.max(np.abs(p - loop_random_projector(8, rank, qlab.make_rng(seed)))) <= 1e-13
+
+
+@pytest.mark.parametrize("rank", (1, 5, 8))
+def test_haar_columns_leave_the_stream_where_random_unitary_does(rank):
+    thin, full = qlab.make_rng(11), qlab.make_rng(11)
+    cols = qlab.rand._haar_columns(8, rank, thin)
+    u = qlab.random_unitary(8, full)
+    assert cols.shape == (8, rank)
+    assert np.max(np.abs(cols - u[:, :rank])) <= 1e-13
+    assert thin.random() == full.random()
 
 
 # The file codec against the record-by-record loop_* oracles: same bytes out,

@@ -257,6 +257,13 @@ class TestVerifiers:
         assert report.passed
         assert report.spectrum_residual == 0.0
 
+    def test_basis_invariance_rejects_negative_projector_count(self):
+        ea = two_detector_table()
+        with pytest.raises(DimensionError, match="got -5"):
+            verify_basis_invariance(ea, BasisTransformation.identity(ea.shape), extra_projectors=-5)
+        report = verify_basis_invariance(ea, BasisTransformation.identity(ea.shape), extra_projectors=0)
+        assert report.num_projectors == 3
+
     def test_factorization_invariance_report(self):
         ea = three_screen_pair()
         report = verify_factorization_invariance(ea, ancilla_dim=3, trials=5, seed=38)

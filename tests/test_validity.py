@@ -5,8 +5,8 @@ on serialize/write, and on explicit validate_isa/require_valid calls.
 Builders and transforms assume valid inputs and re-check only Hermiticity,
 trace and the diagonal. These tests pin where eigvalsh runs, that every such
 operation still yields a valid arrangement, that the kept checks still fire,
-and that the index-based screen permutation and product test give exactly
-what the matrix routes give.
+that a tensor's spectrum is computed once, and that the index-based screen
+permutation and product test give exactly what the matrix routes give.
 """
 
 import itertools
@@ -63,9 +63,18 @@ def test_operations_keep_arrangements_valid(op, counts, seed):
 @given(counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4), data=st.data())
 def test_screen_permutation_matches_loop_oracle(counts, data):
     order = tuple(data.draw(st.permutations(range(1, len(counts) + 1))))
-    bt = BasisTransformation.screen_permutation(configuration(*counts), order)
-    assert np.array_equal(bt.matrix, loop_screen_permutation_matrix(tuple(counts), order))
+    ea = qlab.random_arrangement(configuration(*counts), data.draw(seeds))
+    bt = BasisTransformation.screen_permutation(ea.shape, order)
+    dense = BasisTransformation(ea.shape, bt.target_shape, loop_screen_permutation_matrix(tuple(counts), order))
+    assert np.array_equal(bt.matrix, dense.matrix)
     assert bt.target_shape.detector_counts == tuple(counts[p - 1] for p in order)
+    # entries moved by index equal the matmul route, and so does the inverse
+    moved = qlab.change_basis(ea, bt)
+    assert np.array_equal(moved.alpha.entries, qlab.change_basis(ea, dense).alpha.entries)
+    back = bt.inverse()
+    assert back.target_shape == ea.shape
+    assert np.array_equal(back.matrix, dense.inverse().matrix)
+    assert np.array_equal(qlab.change_basis(moved, back).alpha.entries, ea.alpha.entries)
 
 
 @settings(max_examples=25, deadline=None)
@@ -123,6 +132,19 @@ def test_read_and_write_each_run_one_eigvalsh(eigvalsh_calls, tmp_path):
     assert eigvalsh_calls == [(12, 12)]
     qlab.read_arrangement(path)
     assert eigvalsh_calls == [(12, 12)] * 2
+
+
+def test_verifier_and_purity_share_one_spectrum_per_tensor(eigvalsh_calls):
+    ea = qlab.random_arrangement(configuration(2, 3, 2), 5)
+    bt = BasisTransformation.random(ea.shape, 6)
+    eigvalsh_calls.clear()
+    qlab.verify_basis_invariance(ea, bt)
+    qlab.purity_operational(ea)
+    assert eigvalsh_calls == [(12, 12)] * 2
+    with pytest.raises(AttributeError):
+        ea.alpha.spectrum = np.zeros(12)
+    with pytest.raises(ValueError, match="read-only"):
+        ea.alpha.spectrum[0] = 0.0
 
 
 def test_builder_post_check_still_fires():
