@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrangement import SAMPLER_ALGORITHM, sample_outcomes, validate_isa
-from .entanglement import Bipartition, is_fully_separable_pure, is_product_across, schmidt_decompose
+from .entanglement import Bipartition, is_product_across, schmidt_decompose
 from .errors import DimensionError, ParseError, QLabError
 from .fileio import read_arrangement, read_state, write_arrangement
 from .screens import ScreenConfiguration
@@ -172,13 +172,10 @@ def _separability(args, state):
     n = shape.num_screens
     cuts = [Bipartition.split([j], n) for j in range(1, n + 1)] if n >= 2 else []
     ranks = [schmidt_decompose(v, shape, cut).rank for cut in cuts]
-    if ranks and ranks[0] != 1:  # the first peel of is_fully_separable_pure is this screen-1 cut
-        flag, factors = False, None
-    else:
-        flag, factors = is_fully_separable_pure(v, shape)
-    fields = [("factorization", _key(shape.detector_counts)), ("fully_separable", flag)]
+    fully_separable = all(rank == 1 for rank in ranks)
+    fields = [("factorization", _key(shape.detector_counts)), ("fully_separable", fully_separable)]
     fields += [(f"rank[{j}]", rank) for j, rank in enumerate(ranks, start=1)]
-    return fields + [("factors", len(factors) if factors else 0)], True
+    return fields + [("factors", n if fully_separable else 0)], True
 
 
 def _product_test(args, ea):

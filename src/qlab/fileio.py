@@ -38,26 +38,24 @@ records at a time: whole-array byte tests hold each chunk to the record
 layout and the JSON number grammar, and numpy's text reader converts the
 numbers with the same correct rounding as JSON's float, so the arrays are
 bit-identical. Any other text, canonical text with a fault included, is
-decoded as JSON and checked in one pass over the records on whole arrays,
-with the errors above. The writer formats all records at once.
+decoded as JSON and read record by record, in file order, stopping at the
+first fault with the errors above. The writer formats all records at once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import itertools
 import json
-import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import tolerances
 from .arrangement import ExperimentalArrangement, _label_fault, require_valid, validate_isa
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, QLabError, ValidationError
 from .screens import ScreenConfiguration
 from .tensor import DenseOperatorTensor, _unit_norm
 
@@ -135,96 +133,57 @@ def _read_factorization(data: dict, kind: str) -> ScreenConfiguration:
     return ScreenConfiguration(tuple(raw))
 
 
-def _only(items: Iterable[object], *types: type) -> bool:
-    """Whether every item has exactly one of `types` (so bool is not an int)."""
-    return set(map(type, items)) <= set(types)
-
-
-def _first(flags: Iterable[bool]) -> int:
-    """Position of the first true flag; one is known to exist."""
-    return next(itertools.compress(itertools.count(), flags))
-
-
-def _index_error(shape: ScreenConfiguration, index: list) -> DimensionError:
-    """The error check_index raises for an index already found faulty."""
+def _real(value: object, where: str) -> float:
+    """float(value) for a JSON number that is not a float; the ParseError otherwise."""
+    if value is _MISSING:
+        raise ParseError(f"{where} is missing")
+    if type(value) is not int:
+        raise ParseError(f"{where} must be a number")
     try:
-        shape.check_index(index)
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where} is too large for a float") from None
+
+
+def _index_fault(raw: object, where: str, shape: ScreenConfiguration) -> QLabError:
+    """The error of an index field that is not an in-range multi-index."""
+    if type(raw) is not list or any(type(k) is not int for k in raw):
+        return ParseError(f"{where} must be a list of integers")
+    try:
+        shape.check_index(raw)
     except DimensionError as e:
         return e
-    raise AssertionError(f"index {index} passed check_index")
+    raise AssertionError(f"{where} {raw} passed check_index")
 
 
-def _overflows(value: int | float) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
+def _read_records(records: list, fmt: _Format, shape: ScreenConfiguration, dense: np.ndarray) -> None:
+    """Write each record's value into `dense`, in file order.
 
-
-def _read_records(records: list, fmt: _Format, shape: ScreenConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions and complex values of all records, in file order.
-
-    Each check runs over all records at once, in the order a record is read:
-    the record itself, its index fields, duplication, re, im. A failed check
-    cuts the records to those before its first faulty one, so a later check
-    can only find an earlier record, and the error raised is the one a
-    record-by-record reader would meet first.
+    Raises at the first faulty record; within a record the checks run in the
+    order object, index fields, duplicate, re, im.
     """
-    end, error = len(records), None
-    if not _only(records, dict):
-        end = _first(type(r) is not dict for r in records)
-        error = ParseError(f"{fmt.records}[{end}] must be an object")
-    m = shape.num_screens
-    indices = []
-    for field in fmt.index_fields:
-        raws = list(map(operator.methodcaller("get", field), records[:end]))
-        if not (_only(raws, list) and _only(itertools.chain.from_iterable(raws), int)):
-            end = _first(type(raw) is not list or not _only(raw, int) for raw in raws)
-            error = ParseError(f"{fmt.records}[{end}].{field} must be a list of integers")
-            raws = raws[:end]
-        wrong_length = np.fromiter(map(len, raws), np.intp, len(raws)) != m
-        if wrong_length.any():
-            end = int(np.argmax(wrong_length))
-            error = _index_error(shape, raws[end])
-            raws = raws[:end]
-        components = list(itertools.chain.from_iterable(raws))
-        try:
-            index = np.array(components, np.int64)
-        except OverflowError:  # such a component is out of range; compare it exactly
-            index = np.array(components, object)
-        index = index.reshape(len(raws), m)
-        out_of_range = ((index < 1) | (index > np.array(shape.detector_counts))).any(axis=1)
-        if out_of_range.any():
-            end = int(np.argmax(out_of_range))
-            error = _index_error(shape, raws[end])
-        indices.append(index)
-    joint = np.hstack([index[:end] for index in indices]).astype(np.intp) - 1
-    keys = np.ravel_multi_index(tuple(joint.T), shape.detector_counts * len(fmt.index_fields))
-    _, first = np.unique(keys, return_index=True)
-    if first.size < keys.size:
-        repeated = np.ones(keys.size, dtype=bool)
-        repeated[first] = False
-        end = int(np.argmax(repeated))
-        error = ParseError(f"{fmt.records}[{end}]: " + fmt.duplicate.format(**records[end]))
-    parts = []
-    for field, default in (("re", _MISSING), ("im", 0.0)):
-        raws = list(map(operator.methodcaller("get", field, default), records[:end]))
-        if not _only(raws, float, int):
-            end = _first(type(x) not in (float, int) for x in raws)
-            problem = "is missing" if raws[end] is _MISSING else "must be a number"
-            error = ParseError(f"{fmt.records}[{end}].{field} {problem}")
-            raws = raws[:end]
-        try:
-            parts.append(np.array(raws, np.float64))
-        except OverflowError:
-            end = _first(map(_overflows, raws))
-            error = ParseError(f"{fmt.records}[{end}].{field} is too large for a float")
-    if error is not None:
-        raise error
-    values = np.empty(keys.size, dtype=np.complex128)
-    values.real, values.imag = parts
-    return keys, values
+    flat_of = {index: flat for flat, index in enumerate(shape.all_indices())}
+    ints = (int,) * shape.num_screens  # bool and float components compare equal to ints, so types are checked
+    n, flat_dense, seen = shape.dimension, dense.reshape(-1), set()
+    for i, record in enumerate(records):
+        if type(record) is not dict:
+            raise ParseError(f"{fmt.records}[{i}] must be an object")
+        key = 0
+        for field in fmt.index_fields:
+            raw = record.get(field)
+            flat = flat_of.get(tuple(raw)) if type(raw) is list and tuple(map(type, raw)) == ints else None
+            if flat is None:
+                raise _index_fault(raw, f"{fmt.records}[{i}].{field}", shape)
+            key = key * n + flat
+        if key in seen:
+            raise ParseError(f"{fmt.records}[{i}]: " + fmt.duplicate.format(**record))
+        seen.add(key)
+        real, imag = record.get("re", _MISSING), record.get("im", 0.0)
+        if type(real) is not float:
+            real = _real(real, f"{fmt.records}[{i}].re")
+        if type(imag) is not float:
+            imag = _real(imag, f"{fmt.records}[{i}].im")
+        flat_dense[key] = complex(real, imag)
 
 
 def _read_header(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, list]:
@@ -409,13 +368,11 @@ def _read_canonical(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str |
 
 
 def _parse_json(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray]:
-    """What _parse returns, for any text: decode it as JSON, then check every record."""
+    """What _parse returns, for any text: decode it as JSON, then read it record by record."""
     with _collector_paused():
         shape, label, records = _read_header(text, fmt)
-        keys, values = _read_records(records, fmt, shape)
-        del records  # free the decoded JSON before the dense array is allocated
-    dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
-    np.put(dense, keys, values)
+        dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
+        _read_records(records, fmt, shape, dense)
     return shape, label, dense
 
 

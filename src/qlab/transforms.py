@@ -43,10 +43,10 @@ from .tensor import (
 class BasisTransformation:
     """Unitary coefficients mapping source description to target description.
 
-    A screen permutation also keeps `_source_index`, the source flat position
-    of each target one. Its matrix is eye(N)[_source_index], unitary exactly,
-    so the N^3 unitarity check is skipped and change_basis moves entries by
-    index instead of multiplying.
+    A screen permutation, the identity included, also keeps `_source_index`,
+    the source flat position of each target one. Its matrix is
+    eye(N)[_source_index], unitary exactly, so the N^3 unitarity check is
+    skipped and change_basis moves entries by index instead of multiplying.
     """
 
     source_shape: ScreenConfiguration
@@ -74,7 +74,7 @@ class BasisTransformation:
     def identity(
         cls, shape: ScreenConfiguration, target_shape: ScreenConfiguration | None = None
     ) -> "BasisTransformation":
-        return cls(shape, target_shape or shape, np.eye(shape.dimension, dtype=np.complex128))
+        return cls._permutation(shape, target_shape or shape, np.arange(shape.dimension))
 
     @classmethod
     def random(

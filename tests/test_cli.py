@@ -1,16 +1,18 @@
 import json
+import re
 import subprocess
 import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qlab
-from qlab import configuration, write_arrangement, write_state
+from qlab import configuration, read_state, write_arrangement, write_state
 from qlab.cli import COMMANDS, main
 
-from helpers import bell_state, four_screen_pair, two_detector_table, w_state
+from helpers import bell_state, four_screen_pair, ghz_state, product_state, two_detector_table, w_state
 
 
 def run(capsys, *argv):
@@ -203,8 +205,8 @@ class TestAnalysisCommands:
     def test_separability_entangled(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "w.qs")
         write_state(path, w_state(), configuration(2, 2, 2))
-        # rank[1] = 2 already decides; the peeling test would repeat that SVD
-        monkeypatch.setattr(qlab.cli, "is_fully_separable_pure", None)
+        # the single-screen ranks decide; the CLI never peels
+        monkeypatch.setattr(qlab.entanglement, "is_fully_separable_pure", None)
         rc, out, _ = run(capsys, "separability", "--state", path)
         report = as_dict(out)
         assert rc == 0
@@ -226,6 +228,35 @@ class TestAnalysisCommands:
         report = as_dict(out)
         assert report["fully_separable"] == "true"
         assert report["factors"] == "2"
+
+    @pytest.mark.parametrize(
+        "name, counts, state",
+        [
+            ("product1", (3,), lambda: product_state((3,), 1)[0]),
+            ("product2", (2, 3), lambda: product_state((2, 3), 2)[0]),
+            ("product3", (2, 2, 2), lambda: product_state((2, 2, 2), 3)[0]),
+            ("product4", (2, 3, 1, 2), lambda: product_state((2, 3, 1, 2), 4)[0]),
+            ("bell", (2, 2), bell_state),
+            ("ghz3", (2, 2, 2), lambda: ghz_state(3)),
+            ("ghz4", (2, 2, 2, 2), lambda: ghz_state(4)),
+            ("w", (2, 2, 2), w_state),
+            ("zero_bell", (2, 2, 2), lambda: np.kron([1.0, 0.0], bell_state())),
+            *[
+                (f"random{len(counts)}", counts, lambda counts=counts: qlab.random_state_vector(
+                    int(np.prod(counts)), qlab.make_rng(len(counts))))
+                for counts in [(4,), (2, 3), (3, 2, 2), (2, 2, 2, 2)]
+            ],
+        ],
+    )
+    def test_separability_agrees_with_peeling(self, capsys, tmp_path, name, counts, state):
+        path = str(tmp_path / f"{name}.qs")
+        write_state(path, state(), configuration(*counts))
+        flag, factors = qlab.is_fully_separable_pure(*read_state(path)[:2])
+        rc, out, _ = run(capsys, "separability", "--state", path)
+        report = as_dict(out)
+        assert rc == 0
+        assert report["fully_separable"] == ("true" if flag else "false")
+        assert report["factors"] == str(len(factors) if flag else 0)
 
     def test_product_test_both_cuts(self, capsys, pair_file):
         rc, out, _ = run(capsys, "product-test", "--in", pair_file, "--left", "1,2,3")
@@ -490,6 +521,93 @@ def test_any_argv_exits_with_a_documented_code(capsys, argv_files, name, data):
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4, 5), (argv, err)
     assert "Traceback" not in err
+
+
+# File bytes for the hostile-file property: mutations of canonical text (which
+# the canonical reader then refuses and the JSON path reads record by record)
+# and random bytes. Each subcommand gets the arguments it requires.
+FILE_ARGV = {
+    "validate": [], "potentia": [], "change-basis": ["--permute-screens", "2,1"], "refactor": ["--shape", "4"],
+    "remove-screen": ["--screen", "1"], "extend": ["--ancilla-dim", "2", "--ancilla-state", "ancilla.qs"],
+    "schmidt": ["--left", "1"], "separability": [], "product-test": ["--left", "1"],
+    "verify-basis-invariance": ["--random-unitary"], "verify-factorization-invariance": ["--trials", "1"],
+    "sample": ["--count", "5"], "render": ["--labels"],
+}
+INSERTS = (b"0", b"7", b"-", b".", b"e", b"+", b" ", b"\n", b",", b"[", b"]", b"{", b"}", b'"', b":", b"\x00",
+           b"\xff", b"\xc3\xa9", b"1e999", b"true", b"NaN", b"-0", b'"im"', b"[1, 1]")
+# in place of one number token: JSON stays well-formed, so the record checks run
+TOKENS = (b"0", b"1", b"2", b"5", b"-1", b"-0", b"1.0", b"1e999", b"1" + b"0" * 400, b"0.5", b"true", b"null",
+          b'"1"', b"[1]", b"{}", b"[]", b"[1, 1]")
+
+
+CANONICAL = {
+    "ea": [qlab.serialize_arrangement(ea).encode() for ea in (
+        four_screen_pair(), two_detector_table(), qlab.random_arrangement(configuration(2, 2), qlab.make_rng(3)))],
+    "qs": [qlab.serialize_state(v, configuration(*counts), label).encode() for v, counts, label in (
+        (bell_state(), (2, 2), "bell"), (w_state(), (2, 2, 2), None),
+        (qlab.random_state_vector(4, qlab.make_rng(4)), (2, 2), None))],
+}
+
+
+@st.composite
+def hostile_files(draw, kind: str) -> bytes:
+    """Random bytes, or canonical text with one to three token, byte or line edits."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=200))
+    data = draw(st.sampled_from(CANONICAL[kind]))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["token", "token", "flip", "truncate", "insert", "delete", "duplicate_line",
+                                     "swap_lines"]))
+        at = draw(st.integers(0, len(data)))
+        tokens = list(re.finditer(rb"-?\d[\d.eE+-]*", data))
+        if edit == "token" and tokens:
+            found = draw(st.sampled_from(tokens))
+            data = data[: found.start()] + draw(st.sampled_from(TOKENS)) + data[found.end() :]
+        elif edit == "flip" and at < len(data):
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :]
+        elif edit == "truncate":
+            data = data[:at]
+        elif edit == "insert":
+            data = data[:at] + draw(st.sampled_from(INSERTS)) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 8)) :]
+        else:
+            lines = data.split(b"\n")
+            records = [i for i, line in enumerate(lines) if line.startswith(b"    {")] or list(range(len(lines)))
+            i, j = draw(st.sampled_from(records)), draw(st.sampled_from(records))
+            if edit == "duplicate_line":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(FILE_ARGV))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_file_bytes_exit_with_a_documented_code(capsys, tmp_path, monkeypatch, name, data):
+    # a mutated factorization may ask for up to 4096 detectors; a low cap keeps examples small
+    monkeypatch.setattr(qlab.tolerances, "DIMENSION_CAP", 64)
+    reads_state = COMMANDS[name][1] == "state"
+    path = tmp_path / ("in.qs" if reads_state else "in.ea")
+    path.write_bytes(data.draw(hostile_files("qs" if reads_state else "ea"), label="input"))
+    if name == "extend":
+        (tmp_path / "ancilla.qs").write_bytes(data.draw(hostile_files("qs"), label="ancilla"))
+    out = tmp_path / ("out.svg" if name == "render" else "out.ea")
+    out.unlink(missing_ok=True)  # all examples share one tmp_path
+    argv = [name, "--state" if reads_state else "--in", str(path), *FILE_ARGV[name]]
+    argv += ["--out", str(out)] if name in WRITES else []
+    rc = main(argv + data.draw(switch("--json")))
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3, 4, 5), (argv, err)
+    assert "Traceback" not in err
+    if rc == 0 and name in WRITES:
+        written = out.read_bytes()
+        if name == "render":
+            xml.dom.minidom.parseString(written)
+        else:
+            assert qlab.serialize_arrangement(qlab.read_arrangement(str(out))).encode() == written
 
 
 def test_module_entry_point(pair_file):

@@ -3,6 +3,7 @@ builds arrangements through the public constructors, and asserts an exact
 algebraic relation up to the documented tolerances."""
 
 import copy
+import functools
 import json
 import re
 from unittest import mock
@@ -572,3 +573,52 @@ def test_canonical_reader_on_every_listed_edit(kind, fmt, counts):
     for option in EDITS[kind]:
         for pick in (lambda n: 0, lambda n: n - 1, lambda n: n // 2):
             check_readers(edited(text, kind, option, pick), fmt, 1)
+
+
+# Faults placed in one record of a realistic non-canonical file; each maps a
+# record and its index fields to the faulty record. The last three put two
+# faults in one record, of which the first in the order index fields, re, im wins.
+RECORD_FAULTS = {
+    "not_object": lambda record, fields: 3,
+    "bool_component": lambda record, fields: {**record, fields[0]: [True, *record[fields[0]][1:]]},
+    "out_of_range": lambda record, fields: {**record, fields[-1]: [*record[fields[-1]][:-1], 5]},
+    "too_long": lambda record, fields: {**record, fields[-1]: [*record[fields[-1]], 1]},
+    "re_missing": lambda record, fields: {k: v for k, v in record.items() if k != "re"},
+    "re_not_number": lambda record, fields: {**record, "re": "x"},
+    "im_too_large": lambda record, fields: {**record, "im": -(10**400)},
+    "two_index_faults": lambda record, fields: {
+        **record, fields[-1]: [True, *record[fields[-1]][1:]], fields[0]: [*record[fields[0]], 1]},
+    "index_and_re": lambda record, fields: {**record, fields[-1]: [*record[fields[-1]], 1], "re": "x"},
+    "re_and_im": lambda record, fields: {**record, "re": "x", "im": -(10**400)},
+}
+
+
+@pytest.mark.parametrize("fmt", [fileio._ARRANGEMENT, fileio._STATE], ids=["ea", "qs"])
+def test_json_path_matches_canonical_reader_and_oracle_at_realistic_size(fmt):
+    counts = (4, 4, 4)  # N = 64: 4,096 entries or 64 amplitudes
+    if fmt is fileio._ARRANGEMENT:
+        dense = draw_codec_arrangement(counts, 11, "dense", None).alpha.entries
+        public = functools.partial(parse_arrangement, validate=False)
+        oracle = functools.partial(loop_parse_arrangement, validate=False)
+    else:
+        dense = draw_state(counts, 11, "dense")
+        public, oracle = parse_state, loop_parse_state
+    canonical = fileio._serialize(dense, configuration(*counts), None, fmt)
+    doc = json.loads(canonical)
+    compact = json.dumps(doc)
+    assert fileio._read_canonical(compact, fmt) is None
+    parsed = fileio._parse_json(compact, fmt)[2].tobytes()
+    assert parsed == fileio._read_canonical(canonical, fmt)[2].tobytes() == dense.tobytes()
+    assert read_outcome(oracle, compact)[3] == read_outcome(public, compact)[3] == parsed
+
+    records = doc[fmt.records]
+    for pos in (0, len(records) // 2, len(records) - 1):
+        faults = {name: fault(records[pos], fmt.index_fields) for name, fault in RECORD_FAULTS.items()}
+        other = records[1 if pos == 0 else 0]  # the later of the two equal records is the faulty one
+        faults["duplicate"] = {**records[pos], **{field: other[field] for field in fmt.index_fields}}
+        for name, record in faults.items():
+            text = json.dumps({**doc, fmt.records: [*records[:pos], record, *records[pos + 1 :]]})
+            want = read_outcome(oracle, text)
+            assert isinstance(want[0], type), (name, pos)
+            assert read_outcome(lambda t: fileio._parse_json(t, fmt), text) == want, (name, pos)
+            assert read_outcome(public, text) == want, (name, pos)

@@ -50,6 +50,16 @@ class TestBasisTransformation:
                 dst = bt.target_shape.flat_index((k2, k1))
                 assert bt.matrix[dst, src] == 1.0
 
+    def test_identity_is_the_identity_permutation(self):
+        ea = three_screen_pair()
+        bt = BasisTransformation.identity(ea.shape, configuration(4, 2))
+        assert np.array_equal(bt.matrix, np.eye(8)) and np.array_equal(bt._source_index, np.arange(8))
+        moved = change_basis(ea, bt)
+        assert moved.shape == configuration(4, 2)
+        assert moved.alpha.entries.tobytes() == ea.alpha.entries.tobytes()
+        with pytest.raises(DimensionError, match="^source dimension 8 differs from target dimension 9$"):
+            BasisTransformation.identity(ea.shape, configuration(3, 3))
+
     def test_rejects_bad_matrix(self):
         shape = configuration(2)
         with pytest.raises(NumericError, match="unitary"):
