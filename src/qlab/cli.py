@@ -5,7 +5,8 @@ line-oriented key=value report to stdout (or one JSON object with --json),
 and exits 0 on success. Failures exit with the category of the error:
 1 io (an --out file cannot be written), 2 parse, 3 validation, 4 dimension,
 5 numeric. All randomness is seeded, so identical invocations produce
-identical bytes.
+identical bytes with the same numpy, BLAS build and BLAS thread count (the
+thread count can change the last bits of a BLAS product).
 
 Each subcommand is one row of COMMANDS: its help text, the input that main
 reads for it, its own arguments, and a function (args, input) -> (report

@@ -34,12 +34,13 @@ controls but tab, LF, CR), which the writers refuse too.
 
 Text in the writer's canonical layout (the same bytes but for the number
 tokens, which may be any JSON numbers) is read in C, about a megabyte of
-records at a time: whole-array byte tests hold each chunk to the record
-layout and the JSON number grammar, and numpy's text reader converts the
-numbers with the same correct rounding as JSON's float, so the arrays are
-bit-identical. Any other text, canonical text with a fault included, is
-decoded as JSON and read record by record, in file order, stopping at the
-first fault with the errors above. The writer formats all records at once.
+records at a time: one compiled pattern, the writer's record with the JSON
+number grammar in each slot, holds each chunk to that layout, and numpy's
+text reader converts the numbers with the same correct rounding as JSON's
+float, so the arrays are bit-identical. Any other text, canonical text with a
+fault included, is decoded as JSON and read record by record, in file order,
+stopping at the first fault with the errors above. The writer formats all
+records at once.
 """
 
 from __future__ import annotations
@@ -82,20 +83,10 @@ _EMPTY_TAIL = "]\n}\n"  # after the head but its last line break, when there are
 _CHUNK_CHARS = 1 << 20  # canonical records are read this much text at a time, which bounds the working memory
 _NUMBER_CHARS = b"0123456789.eE+-"
 _KEEP_NUMBERS = bytes(c if c in _NUMBER_CHARS + b"\n" else 32 for c in range(256))  # all else becomes a space
+_INDEX = rb"[1-9][0-9]{0,%d}+"  # an index component: no leading zero, at most %d + 1 digits
+_NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"  # RFC 8259, section 6
 # finds the shape and label of a canonical head, which is then compared byte for byte
 _HEAD = re.compile(r'\{\n.*\n  "factorization": \[(\d+(?:, \d+)*)\],\n(?:  "label": (".*"),\n)?')
-
-
-def _byte_class(chars: bytes) -> np.ndarray:
-    member = np.zeros(256, dtype=bool)
-    member[list(chars)] = True
-    return member
-
-
-_DIGIT = _byte_class(b"0123456789")
-_EXPONENT = _byte_class(b"eE")
-_BEFORE_NUMBER = _byte_class(b"[ ")
-_AFTER_NUMBER = _byte_class(b",]}")
 
 
 def _reject_constant(text: str) -> None:
@@ -238,31 +229,34 @@ def _head(shape: ScreenConfiguration, label: str | None, fmt: _Format) -> str:
 
 @dataclass(frozen=True)
 class _Layout:
-    """The fixed parts of one shape's canonical records.
+    """One shape's canonical records.
 
     A record holds one number per slot: the index components of each index
-    field, then re and im. `skeleton` is a record and its separator with
-    every number character deleted, field names included; `name_numbers`
-    gives those deleted from names as (name, offset, byte).
+    field, then re and im. `records` matches whole records, each with its
+    separator; `names` are the field names that hold number characters.
     """
 
-    skeleton: bytes
-    name_numbers: tuple[tuple[int, int, int], ...]
+    records: re.Pattern[bytes]
+    names: tuple[bytes, ...]
     index_slots: int
     dims: tuple[int, ...]
     digits: int  # of the largest detector count
 
     @classmethod
     def of(cls, shape: ScreenConfiguration, fmt: _Format) -> _Layout:
-        fields = len(fmt.index_fields)
-        record = _record_format(fmt) % ((json.dumps([1] * shape.num_screens),) * fields + (0, 0))
-        names = [field.encode() for field in (*fmt.index_fields, "re", "im")]
+        fields, digits = len(fmt.index_fields), len(str(max(shape.detector_counts)))
+        slots = shape.num_screens * fields
+        # the writer's record and separator, with %s in each number slot
+        index = json.dumps([0] * shape.num_screens).replace("0", "%s")
+        record = _record_format(fmt).replace("%.17g", "%s") % ((index,) * fields + ("%s", "%s")) + ",\n"
+        pattern = re.escape(record).encode() % ((_INDEX % (digits - 1),) * slots + (_NUMBER, _NUMBER))
+        names = [f'"{field}"'.encode() for field in (*fmt.index_fields, "re", "im")]
         return cls(
-            skeleton=(record + ",\n").encode().translate(None, _NUMBER_CHARS),
-            name_numbers=tuple((j, k, c) for j, name in enumerate(names) for k, c in enumerate(name) if c in _NUMBER_CHARS),
-            index_slots=shape.num_screens * fields,
+            records=re.compile(b"(?:%s)*+" % pattern),
+            names=tuple(name for name in names if any(c in _NUMBER_CHARS for c in name)),
+            index_slots=slots,
             dims=shape.detector_counts * fields,
-            digits=len(str(max(shape.detector_counts))),
+            digits=digits,
         )
 
 
@@ -270,63 +264,32 @@ def _read_chunk(chunk: bytes, layout: _Layout, flat: np.ndarray, last: int) -> i
     """Store whole canonical records, each ending in ",\n", into `flat`.
 
     Returns the flat position of the last record. Returns None, having
-    stored part or none, unless every record has the canonical layout,
-    holds JSON number tokens (digits alone in index slots), and lies in
-    range, finite and after `last` in flat order. numpy parses re and im in
-    C; it also reads +1, .5, 1., 01 and -01, which JSON refuses, so those
-    are refused here first.
+    stored part or none, unless the chunk matches `layout.records` and every
+    record lies in range, finite and after `last` in flat order. numpy parses
+    re and im in C; it also reads +1, .5, 1., 01 and -01, which JSON refuses,
+    so the pattern admits JSON number tokens only.
     """
-    stripped = chunk.translate(None, _NUMBER_CHARS)
-    n = len(stripped) // len(layout.skeleton)
-    if stripped != layout.skeleton * n:
+    if not layout.records.fullmatch(chunk):
         return None
-    raw = np.frombuffer(chunk, dtype=np.uint8)
-    quotes = np.flatnonzero(raw == ord('"')).reshape(n, -1)
-    spaced = bytearray(chunk.translate(_KEEP_NUMBERS))  # numbers and line breaks; names are blanked below
+    for name in layout.names:
+        chunk = chunk.replace(name, b" " * len(name))
+    spaced = bytearray(chunk.translate(_KEEP_NUMBERS))  # the number tokens and line breaks
     numbers = np.frombuffer(spaced, dtype=np.uint8)
-    for j, k, c in layout.name_numbers:
-        at = quotes[:, 2 * j] + 1 + k
-        if not (raw[at] == c).all():
-            return None
-        numbers[at] = ord(" ")
     is_number = numbers > ord(" ")
     edges = np.flatnonzero(is_number[1:] ^ is_number[:-1]) + 1
-    if edges.size != 2 * n * (layout.index_slots + 2):  # also odd when a run starts the chunk
-        return None
-    starts, ends = edges[0::2].reshape(n, -1), edges[1::2].reshape(n, -1)
-    # Past the skeleton, a number character can sit in a slot only: between
-    # "[" or " " and ",", "]" or "}". So each slot holds one token.
-    if not (_BEFORE_NUMBER[raw[starts - 1]].all() and _AFTER_NUMBER[raw[ends]].all()):
-        return None
-    odd = np.flatnonzero(is_number & ((numbers < ord("0")) | (numbers > ord("9"))))  # . e E + -
-    char, before = numbers[odd], numbers[odd - 1]
-    lead = starts + (numbers[starts] == ord("-"))
-    if (
-        ((char == ord(".")) & ~(_DIGIT[before] & _DIGIT[numbers[odd + 1]])).any()
-        or ((char == ord("+")) & ~_EXPONENT[before]).any()
-        or ((numbers[lead] == ord("0")) & _DIGIT[numbers[lead + 1]]).any()
-    ):
-        return None
+    starts, ends = edges[0::2].reshape(-1, layout.index_slots + 2), edges[1::2].reshape(-1, layout.index_slots + 2)
     first, length = starts[:, : layout.index_slots], (ends - starts)[:, : layout.index_slots]
-    if (length > layout.digits).any():
-        return None
     index = np.zeros(first.shape, dtype=np.intp)
     for k in range(layout.digits):
         more = length > k
         at = first[more] + k
-        digit = numbers[at] - ord("0")  # wraps above 9 for . e E + -
-        if (digit > 9).any():
-            return None
-        index[more] = index[more] * 10 + digit
+        index[more] = index[more] * 10 + (numbers[at] - ord("0"))
         numbers[at] = ord(" ")  # loadtxt is left re and im alone
-    try:
-        values = np.loadtxt(spaced.decode("ascii").splitlines(), dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:  # a token that is no float, such as 1e or -
-        return None
+    values = np.loadtxt(spaced.decode("ascii").splitlines(), dtype=np.float64, comments=None, ndmin=2)
     # JSON reads -0 as the integer 0, so as +0.0; -0.0 and -0e0 stay -0.0
     at = starts[:, -2:]
     values[(ends[:, -2:] - at == 2) & (numbers[at] == ord("-")) & (numbers[at + 1] == ord("0"))] = 0.0
-    if not (np.isfinite(values).all() and ((index >= 1) & (index <= layout.dims)).all()):
+    if not (np.isfinite(values).all() and (index <= layout.dims).all()):
         return None
     keys = np.ravel_multi_index(tuple(index.T - 1), layout.dims)
     if keys[0] <= last or (keys[1:] <= keys[:-1]).any():

@@ -69,6 +69,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="trace"):
             qlab.require_valid(candidate([2], np.diag([0.9, 0.2])))
 
+    def test_report_lookup_of_an_unknown_check(self):
+        with pytest.raises(KeyError, match="^'symmetric'$"):
+            validate_isa(two_detector_table())["symmetric"]
+
 
 class TestBuilders:
     def test_state_vector_outer_product_enumeration(self):
@@ -86,6 +90,14 @@ class TestBuilders:
             build_from_state_vector([1.0, 1.0], shape)
         with pytest.raises(DimensionError, match="length"):
             build_from_state_vector([1.0, 0.0, 0.0], shape)
+
+    def test_state_vector_rejects_non_finite_amplitudes(self):
+        with pytest.raises(NumericError, match="^amplitudes must be finite$"):
+            build_from_state_vector([np.nan, 0.0], configuration(2))
+
+    def test_random_arrangement_needs_a_term(self):
+        with pytest.raises(ValueError, match="^terms must be positive, got 0$"):
+            qlab.random_arrangement(configuration(2), 1, terms=0)
 
     def test_mixture_weights_checked(self):
         shape = configuration(2)
@@ -140,6 +152,13 @@ class TestPotentia:
             ea = qlab.random_arrangement(configuration(2, 3), seed)
             assert abs(ea.potentia_table().sum() - 1.0) <= 1e-9
 
+    def test_imaginary_diagonal_is_numeric(self):
+        ea = candidate([2], [[0.5 + 0.1j, 0], [0, 0.5]])
+        with pytest.raises(NumericError, match=r"^diagonal has imaginary part 1\.000e-01$"):
+            ea.potentia_table()
+        with pytest.raises(NumericError, match=r"^potentia has imaginary part 1\.000e-01$"):
+            potentia_of_power(ea, (1,))
+
 
 class TestProjectors:
     def test_basis_power_projector(self):
@@ -171,6 +190,16 @@ class TestProjectors:
         with pytest.raises(DimensionError):
             commutes(a, b)
 
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(DimensionError, match=r"^projector matrix must be square, got \(2, 3\)$"):
+            GeneralProjector.from_matrix(np.ones((2, 3)))
+
+    def test_random_projector_and_family_arguments(self):
+        with pytest.raises(ValueError, match=r"^rank must be in 1\.\.4, got 0$"):
+            qlab.random_projector(4, 0, 1)
+        with pytest.raises(ValueError, match=r"^parts must be in 1\.\.4, got 5$"):
+            qlab.random_orthogonal_family(4, 1, parts=5)
+
 
 class TestValuation:
     def test_identity_valuation_is_one(self):
@@ -200,6 +229,16 @@ class TestValuation:
         giv = GlobalIntensiveValuation(two_detector_table())
         with pytest.raises(DimensionError):
             giv(GeneralProjector.identity(configuration(3)))
+
+    def test_imaginary_valuation_is_numeric(self):
+        giv = GlobalIntensiveValuation(candidate([2], [[0.5 + 0.1j, 0], [0, 0.5]]))
+        with pytest.raises(NumericError, match=r"^valuation has imaginary part 1\.000e-01$"):
+            giv(GeneralProjector.identity(configuration(2)))
+
+    def test_additivity_needs_a_family(self):
+        giv = GlobalIntensiveValuation(two_detector_table())
+        with pytest.raises(DimensionError, match="^additivity needs a nonempty projector family$"):
+            verify_additivity(giv, [])
 
     def test_additivity_over_basis_family(self):
         ea = four_screen_pair()
@@ -247,6 +286,10 @@ class TestPurity:
 
 
 class TestSampler:
+    def test_table_that_does_not_sum_to_one(self):
+        with pytest.raises(ValidationError, match=r"^potentia table sums to 1\.2, expected 1$"):
+            sample_outcomes(candidate([2], np.diag([0.6, 0.6])), 10, seed=1)
+
     def test_identical_seed_identical_counts(self):
         ea = two_detector_table()
         a = sample_outcomes(ea, 5000, seed=42)

@@ -4,7 +4,9 @@
 stderr, exit code and the bytes of any file it wrote. Cases whose numbers come
 from LAPACK (eigenvalues, SVD, QR), whose last bits depend on the BLAS build,
 compare the report keys in order and every non-float value, and read written
-arrangements back as arrays; every other case compares bytes.
+arrangements back as arrays; every other case compares bytes. Byte equality
+is promised for the same numpy, BLAS build and BLAS thread count only; CI
+also runs this file with OPENBLAS_NUM_THREADS=1.
 
 To re-record after an intended output change:
 

@@ -39,6 +39,10 @@ class TestBipartition:
         with pytest.raises(DimensionError):
             Bipartition((), (1, 2))
 
+    def test_rejects_a_repeated_screen(self):
+        with pytest.raises(DimensionError, match="^bipartition sides must not repeat screens$"):
+            Bipartition((1, 1), (2,))
+
     def test_check_against_requires_full_cover(self):
         cut = Bipartition((1,), (2,))
         with pytest.raises(DimensionError):

@@ -191,6 +191,27 @@ class TestArrangementErrors:
         with pytest.raises(ParseError, match=r"^entries\[0\]\.im is too large for a float$"):
             parse_arrangement(text % ('1.0, "im": -' + huge))
 
+    def test_label_and_records_must_have_their_types(self):
+        with pytest.raises(ParseError, match="^arrangement file: label must be a string$"):
+            parse_arrangement('{"version": 1, "factorization": [2], "label": 3, "entries": []}')
+        with pytest.raises(ParseError, match="^arrangement file: entries must be a list$"):
+            parse_arrangement('{"version": 1, "factorization": [2], "entries": {}}')
+        with pytest.raises(ParseError, match="^state file: amplitudes must be a list$"):
+            parse_state('{"version": 1, "factorization": [2], "amplitudes": {}}')
+
+    def test_canonical_head_that_is_no_configuration_takes_the_json_path(self):
+        # each head has the canonical layout, but its factorization or label does not decode
+        text = serialize_arrangement(qlab.build_from_state_vector([1], configuration(1)))
+        fileio = qlab.fileio
+        no_detector = text.replace('"factorization": [1]', '"factorization": [0]')
+        assert fileio._read_canonical(no_detector, fileio._ARRANGEMENT) is None
+        with pytest.raises(DimensionError, match="^screen 1 has detector count 0; each screen needs at least one detector$"):
+            parse_arrangement(no_detector)
+        bad_label = text.replace('"factorization": [1],', '"factorization": [1],\n  "label": "\\q",')
+        assert fileio._read_canonical(bad_label, fileio._ARRANGEMENT) is None
+        with pytest.raises(ParseError, match=r"^arrangement file: invalid syntax at line 4, column 13: Invalid \\escape$"):
+            parse_arrangement(bad_label)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             read_arrangement(str(tmp_path / "absent.ea"))

@@ -448,7 +448,7 @@ def canonical_texts(draw, fmt) -> tuple[str, bool]:
 
 VALUE_EDITS = ("01", "-01", "+1", ".5", "1.", "1.e5", "1e", "-", "1e400", "9" * 400, "-0", "-0.0", "-0e0",
                "0e0", "1E+2", "", "1 ", "--1", "1e5e5")
-INDEX_EDITS = ("1.0", "1e0", "0", "01", "+1", "-1", "", "5", "12", "9" * 30, " 1", "e", "E", "-")
+INDEX_EDITS = ("1.0", "1e0", "0", "01", "+1", "-1", "", "5", "12", "9" * 30, " 1", "e", "E", "-", "100", "010")
 # one edit each: a token, a name, an inserted character, the order or count of records, the header
 EDITS = {
     "value": VALUE_EDITS,
@@ -561,7 +561,8 @@ SAMPLE_VALUES = (complex(0.5, -0.0), complex(-0.0, 1e16), complex(5e-324, -1.797
                  complex(1 / 3, 2.0), complex(-12345678901234567.0, 1e-300))
 
 
-@pytest.mark.parametrize("counts", [(2, 3), (24,)])  # 24: an index token E would read as 21
+# 24: an index token E would read as 21; 10: two-digit index components
+@pytest.mark.parametrize("counts", [(2, 3), (24,), (10, 3)])
 @pytest.mark.parametrize("fmt", [fileio._ARRANGEMENT, fileio._STATE], ids=["ea", "qs"])
 @pytest.mark.parametrize("kind", sorted(EDITS))
 def test_canonical_reader_on_every_listed_edit(kind, fmt, counts):

@@ -119,6 +119,11 @@ def test_partial_trace_of_product_recovers_factor():
     assert np.max(np.abs(got.entries - want)) <= 1e-10
 
 
+def test_partial_trace_of_no_screens_is_the_tensor():
+    t = tensor([2, 2], np.eye(4) / 4)
+    assert partial_trace(t, []) is t
+
+
 def test_partial_trace_position_errors():
     t = tensor([2, 2], np.eye(4))
     with pytest.raises(DimensionError, match="out of range"):

@@ -229,6 +229,10 @@ class TestExtendArrangement:
         with pytest.raises(DimensionError, match="length"):
             extend_arrangement(two_detector_table(), 2, [1, 0, 0])
 
+    def test_rejects_non_finite_ancilla(self):
+        with pytest.raises(NumericError, match="^ancilla amplitudes must be finite$"):
+            extend_arrangement(two_detector_table(), 2, [np.inf, 0])
+
     def test_capacity_overflow(self, monkeypatch):
         ea = four_screen_pair()
         monkeypatch.setattr(qlab.tolerances, "DIMENSION_CAP", 16)
