@@ -23,7 +23,7 @@ from .tensor import DenseOperatorTensor, _frozen_complex_matrix, _unit_norm
 
 SAMPLER_ALGORITHM = "numpy-pcg64-multinomial"
 # outside XML 1.0 Char (section 2.2): C0 controls but tab, LF, CR; surrogates; U+FFFE, U+FFFF
-_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _label_fault(label: str | None) -> str | None:
@@ -57,9 +57,9 @@ class Power:
 class ExperimentalArrangement:
     """An operator tensor together with an optional label.
 
-    Construction is structural only. validate_isa proves positivity where
-    data enters or leaves: parse/read with validate=True, serialize/write,
-    and explicit validate_isa/require_valid calls. Builders and transforms
+    Construction is structural only. Positivity is proven where data
+    enters or leaves: parse/read with validate=True, serialize/write, and
+    explicit validate_isa/require_valid calls. Builders and transforms
     assume valid inputs (a loaded file, a builder output, or an arrangement
     passed through require_valid) and re-check only the O(N^2) properties.
     """
@@ -130,8 +130,9 @@ def _structural_checks(a: np.ndarray) -> tuple[IsaCheck, ...]:
 def validate_isa(ea: ExperimentalArrangement) -> IsaValidationReport:
     """Check the four arrangement properties and report each residual.
 
-    Checks, in order: hermitian, trace, positive, diagonal. Positivity is
-    proven only here, by a full O(N^3) eigvalsh.
+    Checks, in order: hermitian, trace, positive, diagonal. The positive
+    residual comes from a full O(N^3) eigvalsh; require_valid and the
+    writer ask for it only when a cheaper Cholesky cannot prove positivity.
     """
     a = ea.alpha.entries
     herm, trace, diag = _structural_checks(a)
@@ -150,8 +151,28 @@ def _require(ea: ExperimentalArrangement, checks: Sequence[IsaCheck]) -> Experim
     return ea
 
 
+def _passes_gate(ea: ExperimentalArrangement) -> bool:
+    """True only if validate_isa would pass, proven without eigvalsh.
+
+    Runs the O(N^2) checks, then one Cholesky of the matrix validate_isa's
+    eigvalsh sees, shifted by tolerances.PSD_CHOLESKY_SHIFT; a Cholesky
+    that succeeds bounds the smallest eigenvalue above the floor. False
+    says nothing: the caller asks validate_isa.
+    """
+    a = ea.alpha.entries
+    if not all(check.passed for check in _structural_checks(a)):
+        return False
+    shifted = (a + a.conj().T) / 2.0
+    shifted.flat[:: len(a) + 1] += tolerances.PSD_CHOLESKY_SHIFT
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def require_valid(ea: ExperimentalArrangement) -> ExperimentalArrangement:
-    return _require(ea, validate_isa(ea).checks)
+    return ea if _passes_gate(ea) else _require(ea, validate_isa(ea).checks)
 
 
 def _valid_result(alpha: DenseOperatorTensor, label: str | None) -> ExperimentalArrangement:

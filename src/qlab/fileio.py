@@ -33,11 +33,16 @@ too deep to decode, and a label outside XML 1.0 text (lone surrogates, C0
 controls but tab, LF, CR), which the writers refuse too.
 
 Text in the writer's canonical layout (the same bytes but for the number
-tokens, which may be any JSON numbers) is read in C, about a megabyte of
-records at a time: one compiled pattern, the writer's record with the JSON
-number grammar in each slot, holds each chunk to that layout, and numpy's
-text reader converts the numbers with the same correct rounding as JSON's
-float, so the arrays are bit-identical. Any other text, canonical text with a
+tokens, which may be any JSON numbers) is read about a megabyte of records
+at a time, without the JSON decoder. One compiled pattern, the writer's
+record with the JSON number grammar in each slot, holds each chunk to that
+layout. The index components are then read by one of two paths. When every
+detector count is at most 9, each component is one digit, so a record is the
+writer's byte for byte up to re, and the digits are gathered at fixed
+columns from the line starts. Otherwise they are found as tokens between
+the edges of the number characters. re and im go through Python's float,
+which is what JSON's decoder calls, so the arrays are bit-identical (a bare
+-0, an integer to JSON, reads as +0.0). Any other text, canonical text with a
 fault included, is decoded as JSON and read record by record, in file order,
 stopping at the first fault with the errors above. The writer formats all
 records at once.
@@ -55,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances
-from .arrangement import ExperimentalArrangement, _label_fault, require_valid, validate_isa
+from .arrangement import ExperimentalArrangement, _label_fault, _passes_gate, require_valid, validate_isa
 from .errors import DimensionError, ParseError, QLabError, ValidationError
 from .screens import ScreenConfiguration
 from .tensor import DenseOperatorTensor, _unit_norm
@@ -83,7 +88,7 @@ _EMPTY_TAIL = "]\n}\n"  # after the head but its last line break, when there are
 _CHUNK_CHARS = 1 << 20  # canonical records are read this much text at a time, which bounds the working memory
 _NUMBER_CHARS = b"0123456789.eE+-"
 _KEEP_NUMBERS = bytes(c if c in _NUMBER_CHARS + b"\n" else 32 for c in range(256))  # all else becomes a space
-_INDEX = rb"[1-9][0-9]{0,%d}+"  # an index component: no leading zero, at most %d + 1 digits
+_INDEX = rb"[1-9]"  # the first digit of an index component, which has no leading zero
 _NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"  # RFC 8259, section 6
 # finds the shape and label of a canonical head, which is then compared byte for byte
 _HEAD = re.compile(r'\{\n.*\n  "factorization": \[(\d+(?:, \d+)*)\],\n(?:  "label": (".*"),\n)?')
@@ -231,33 +236,66 @@ def _head(shape: ScreenConfiguration, label: str | None, fmt: _Format) -> str:
 class _Layout:
     """One shape's canonical records.
 
-    A record holds one number per slot: the index components of each index
-    field, then re and im. `records` matches whole records, each with its
-    separator; `names` are the field names that hold number characters.
+    `records` matches whole records, each with its separator. Once the
+    characters outside numbers are blanked, a record holds a fixed sequence
+    of tokens: the index components of each index field, the `e` of each
+    field name that holds one, then re and im. `index_tokens` and
+    `name_tokens` pick the first two kinds out of that sequence. When every
+    detector count is one digit, the record is the writer's byte for byte up
+    to re, so those tokens also sit at fixed `columns` from the line start.
     """
 
     records: re.Pattern[bytes]
-    names: tuple[bytes, ...]
-    index_slots: int
     dims: tuple[int, ...]
     digits: int  # of the largest detector count
+    index_tokens: np.ndarray
+    name_tokens: np.ndarray
+    columns: np.ndarray  # of each token before re, were every index component one digit
 
     @classmethod
     def of(cls, shape: ScreenConfiguration, fmt: _Format) -> _Layout:
         fields, digits = len(fmt.index_fields), len(str(max(shape.detector_counts)))
-        slots = shape.num_screens * fields
         # the writer's record and separator, with %s in each number slot
         index = json.dumps([0] * shape.num_screens).replace("0", "%s")
         record = _record_format(fmt).replace("%.17g", "%s") % ((index,) * fields + ("%s", "%s")) + ",\n"
-        pattern = re.escape(record).encode() % ((_INDEX % (digits - 1),) * slots + (_NUMBER, _NUMBER))
-        names = [f'"{field}"'.encode() for field in (*fmt.index_fields, "re", "im")]
+        slots = record.count("%s") - 2
+        component = _INDEX + rb"[0-9]?+" * (digits - 1)  # at most `digits` digits
+        pattern = re.escape(record).encode() % ((component,) * slots + (_NUMBER, _NUMBER))
+        # the tokens of a record with index components 1 and values 0
+        sample = (record % ((1,) * slots + (0, 0))).encode().translate(_KEEP_NUMBERS)
+        tokens = [(m.start(), m[0]) for m in re.finditer(rb"\S+", sample)][:-2]
         return cls(
             records=re.compile(b"(?:%s)*+" % pattern),
-            names=tuple(name for name in names if any(c in _NUMBER_CHARS for c in name)),
-            index_slots=slots,
             dims=shape.detector_counts * fields,
             digits=digits,
+            index_tokens=np.array([k for k, (_, token) in enumerate(tokens) if token == b"1"], dtype=np.intp),
+            name_tokens=np.array([k for k, (_, token) in enumerate(tokens) if token == b"e"], dtype=np.intp),
+            columns=np.array([at for at, _ in tokens], dtype=np.intp),
         )
+
+
+def _read_index(numbers: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The index components of each record in `numbers`, a chunk's number
+    tokens and line breaks; blanks all tokens but re and im."""
+    if layout.digits == 1:
+        ends = np.flatnonzero(numbers == ord("\n"))
+        at = np.concatenate(([0], ends[:-1] + 1))[:, None] + layout.columns  # each token's one byte
+        index = numbers[at[:, layout.index_tokens]] - ord("0")
+        numbers[at] = ord(" ")
+        return index
+    is_number = numbers > ord(" ")
+    edges = np.flatnonzero(is_number[1:] ^ is_number[:-1]) + 1
+    tokens = len(layout.columns) + 2  # per record
+    starts, ends = edges[0::2].reshape(-1, tokens), edges[1::2].reshape(-1, tokens)
+    first, length = starts[:, layout.index_tokens], (ends - starts)[:, layout.index_tokens]
+    index = np.zeros(first.shape, dtype=np.intp)
+    for k in range(layout.digits):
+        more = length > k
+        at = first[more] + k
+        index[more] = index[more] * 10 + (numbers[at] - ord("0"))
+        numbers[at] = ord(" ")
+    numbers[starts[:, layout.name_tokens]] = ord(" ")
+    return index
 
 
 def _read_chunk(chunk: bytes, layout: _Layout, flat: np.ndarray, last: int) -> int | None:
@@ -265,37 +303,25 @@ def _read_chunk(chunk: bytes, layout: _Layout, flat: np.ndarray, last: int) -> i
 
     Returns the flat position of the last record. Returns None, having
     stored part or none, unless the chunk matches `layout.records` and every
-    record lies in range, finite and after `last` in flat order. numpy parses
-    re and im in C; it also reads +1, .5, 1., 01 and -01, which JSON refuses,
-    so the pattern admits JSON number tokens only.
+    record lies in range, finite and after `last` in flat order. re and im
+    go through Python's float, as JSON's do.
     """
     if not layout.records.fullmatch(chunk):
         return None
-    for name in layout.names:
-        chunk = chunk.replace(name, b" " * len(name))
     spaced = bytearray(chunk.translate(_KEEP_NUMBERS))  # the number tokens and line breaks
-    numbers = np.frombuffer(spaced, dtype=np.uint8)
-    is_number = numbers > ord(" ")
-    edges = np.flatnonzero(is_number[1:] ^ is_number[:-1]) + 1
-    starts, ends = edges[0::2].reshape(-1, layout.index_slots + 2), edges[1::2].reshape(-1, layout.index_slots + 2)
-    first, length = starts[:, : layout.index_slots], (ends - starts)[:, : layout.index_slots]
-    index = np.zeros(first.shape, dtype=np.intp)
-    for k in range(layout.digits):
-        more = length > k
-        at = first[more] + k
-        index[more] = index[more] * 10 + (numbers[at] - ord("0"))
-        numbers[at] = ord(" ")  # loadtxt is left re and im alone
-    values = np.loadtxt(spaced.decode("ascii").splitlines(), dtype=np.float64, comments=None, ndmin=2)
+    index = _read_index(np.frombuffer(spaced, dtype=np.uint8), layout)
+    tokens = bytes(spaced).split()  # re and im of each record
+    values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     # JSON reads -0 as the integer 0, so as +0.0; -0.0 and -0e0 stay -0.0
-    at = starts[:, -2:]
-    values[(ends[:, -2:] - at == 2) & (numbers[at] == ord("-")) & (numbers[at + 1] == ord("0"))] = 0.0
+    negative_zeros = np.flatnonzero((values == 0) & np.signbit(values)).tolist()
+    values[[at for at in negative_zeros if tokens[at] == b"-0"]] = 0.0
     if not (np.isfinite(values).all() and (index <= layout.dims).all()):
         return None
     keys = np.ravel_multi_index(tuple(index.T - 1), layout.dims)
     if keys[0] <= last or (keys[1:] <= keys[:-1]).any():
         return None
-    flat.real[keys] = values[:, 0]
-    flat.imag[keys] = values[:, 1]
+    flat.real[keys] = values[0::2]
+    flat.imag[keys] = values[1::2]
     return int(keys[-1])
 
 
@@ -370,8 +396,7 @@ def parse_arrangement(text: str, validate: bool = True) -> ExperimentalArrangeme
 
 def serialize_arrangement(ea: ExperimentalArrangement) -> str:
     """Canonical .ea text for a valid arrangement."""
-    report = validate_isa(ea)
-    if not report.valid:
+    if not _passes_gate(ea) and not (report := validate_isa(ea)).valid:
         raise ValidationError(
             "refusing to serialize an invalid arrangement: " + ", ".join(report.failures())
         )

@@ -49,7 +49,8 @@ def _unit_norm(v: np.ndarray, tol: float, message: str) -> float:
 
     `message` is formatted with the keywords `norm` and `tol`.
     """
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # a norm past the largest double is inf, refused below
+        norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= tol:
         raise ValidationError(message.format(norm=norm, tol=tol))
     return norm

@@ -43,16 +43,20 @@ from .tensor import (
 class BasisTransformation:
     """Unitary coefficients mapping source description to target description.
 
-    A screen permutation, the identity included, also keeps `_source_index`,
+    The constructor proves the matrix unitary by an N^3 check. Haar draws,
+    screen permutations and their inverses are unitary by construction;
+    they are built by _unitary_by_construction, which skips that check. A
+    screen permutation, the identity included, also keeps `_source_index`,
     the source flat position of each target one. Its matrix is
-    eye(N)[_source_index], unitary exactly, so the N^3 unitarity check is
-    skipped and change_basis moves entries by index instead of multiplying.
+    eye(N)[_source_index], and change_basis moves entries by index instead
+    of multiplying.
     """
 
     source_shape: ScreenConfiguration
     target_shape: ScreenConfiguration
     matrix: np.ndarray
-    _source_index: np.ndarray | None = field(default=None, repr=False)
+    _source_index: np.ndarray | None = field(default=None, init=False, repr=False)
+    _unitary: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.source_shape.dimension != self.target_shape.dimension:
@@ -64,7 +68,7 @@ class BasisTransformation:
         n = self.source_shape.dimension
         if mat.shape != (n, n):
             raise DimensionError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
-        if self._source_index is None:
+        if not self._unitary:
             dev = float(np.max(np.abs(mat @ mat.conj().T - np.eye(n))))
             if dev > tolerances.UNITARITY_TOL:
                 raise NumericError(f"transformation matrix is not unitary: max deviation {dev:.3e}")
@@ -83,7 +87,7 @@ class BasisTransformation:
         seed: int | np.random.Generator,
         target_shape: ScreenConfiguration | None = None,
     ) -> "BasisTransformation":
-        return cls(shape, target_shape or shape, random_unitary(shape.dimension, seed))
+        return cls._unitary_by_construction(shape, target_shape or shape, random_unitary(shape.dimension, seed))
 
     @classmethod
     def screen_permutation(
@@ -105,12 +109,29 @@ class BasisTransformation:
     ) -> "BasisTransformation":
         """Target flat position i takes source position src[i]."""
         src.setflags(write=False)
-        return cls(source, target, np.eye(source.dimension, dtype=np.complex128)[src], src)
+        return cls._unitary_by_construction(source, target, np.eye(source.dimension, dtype=np.complex128)[src], src)
+
+    @classmethod
+    def _unitary_by_construction(
+        cls,
+        source: ScreenConfiguration,
+        target: ScreenConfiguration,
+        matrix: np.ndarray,
+        source_index: np.ndarray | None = None,
+    ) -> "BasisTransformation":
+        """The constructor's result for a matrix unitary by construction, without its N^3 check."""
+        bt = cls.__new__(cls)
+        names = "source_shape", "target_shape", "matrix", "_source_index", "_unitary"
+        for name, value in zip(names, (source, target, matrix, source_index, True)):
+            object.__setattr__(bt, name, value)
+        bt.__post_init__()
+        return bt
 
     def inverse(self) -> "BasisTransformation":
-        if self._source_index is None:
-            return BasisTransformation(self.target_shape, self.source_shape, self.matrix.conj().T)
-        return BasisTransformation._permutation(self.target_shape, self.source_shape, np.argsort(self._source_index))
+        if self._source_index is not None:
+            return BasisTransformation._permutation(self.target_shape, self.source_shape, np.argsort(self._source_index))
+        build = BasisTransformation._unitary_by_construction if self._unitary else BasisTransformation
+        return build(self.target_shape, self.source_shape, self.matrix.conj().T)
 
 
 def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> ExperimentalArrangement:

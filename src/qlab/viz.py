@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .arrangement import ExperimentalArrangement, _label_fault
 from .errors import ValidationError
@@ -107,6 +106,8 @@ def depicted_powers(
 def render_arrangement_svg(
     ea: ExperimentalArrangement, options: RenderOptions = RenderOptions()
 ) -> str:
+    from xml.sax.saxutils import escape  # here, so importing qlab does not load xml.sax and its imports
+
     if fault := _label_fault(ea.label):
         raise ValidationError(f"refusing to render: {fault}")
     plan = layout(ea.shape, options)

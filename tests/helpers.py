@@ -292,7 +292,8 @@ def loop_parse_state(text: str):
         re = _loop_read_real(record, "re", where)
         im = _loop_read_real(record, "im", where, default=0.0)
         v[flat] = complex(re, im)
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise qlab.ValidationError(f"state file: norm is {norm!r}, expected 1 within {FILE_NORM_TOL}")
     if abs(norm - 1.0) > FILE_RENORM_EPS:

@@ -314,6 +314,12 @@ class TestStateFiles:
         back, _, _ = parse_state(text)
         assert abs(np.linalg.norm(back) - 1.0) <= 1e-15
 
+    def test_norm_past_the_largest_double_is_refused_without_a_warning(self):
+        # warnings are errors in this suite, so an overflow warning would fail the raises
+        text = '{"version": 1, "factorization": [2], "amplitudes": [{"index": [1], "re": 1e300}]}'
+        with pytest.raises(ValidationError, match=r"^state file: norm is inf, expected 1 within 1e-08$"):
+            parse_state(text)
+
     def test_badly_off_norm_rejected(self):
         with pytest.raises(ValidationError, match="norm"):
             serialize_state(bell_state() * 1.001, configuration(2, 2))

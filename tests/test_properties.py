@@ -4,6 +4,7 @@ algebraic relation up to the documented tolerances."""
 
 import copy
 import functools
+import itertools
 import json
 import re
 from unittest import mock
@@ -574,6 +575,33 @@ def test_canonical_reader_on_every_listed_edit(kind, fmt, counts):
     for option in EDITS[kind]:
         for pick in (lambda n: 0, lambda n: n - 1, lambda n: n // 2):
             check_readers(edited(text, kind, option, pick), fmt, 1)
+
+
+# Number tokens JSON reads apart from Python's float: a bare -0 is the integer
+# 0, so +0.0, and an integer past 17 digits is rounded from the integer.
+SPECIAL_TOKENS = ("-0", "-0.0", "-0e0", "0", "1e-5", "2.5E+3", "-1.25e-300", "7E2", "0.1", "5e-324",
+                  "1.7976931348623157e308", "123456789012345678901234567890", "-9007199254740993")
+
+
+# one-digit counts: index digits at fixed columns; a count of 10 or more: token edges
+@pytest.mark.parametrize("counts", [(9,), (10,), (3, 9), (9, 10), (10, 2), (2,) * 5])
+@pytest.mark.parametrize("fmt", [fileio._ARRANGEMENT, fileio._STATE], ids=["ea", "qs"])
+def test_both_canonical_paths_match_json_path_and_oracle_bit_for_bit(fmt, counts):
+    shape = configuration(*counts)
+    assert (fileio._Layout.of(shape, fmt).digits == 1) == (max(counts) <= 9)
+    dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
+    dense.flat[np.linspace(0, dense.size - 1, 3 * len(SPECIAL_TOKENS)).astype(int)] = complex(0.5, 0.5)
+    tokens = itertools.cycle(SPECIAL_TOKENS)
+    text = re.sub(r'"re": [^,]*, "im": [^}]*', lambda _: f'"re": {next(tokens)}, "im": {next(tokens)}',
+                  fileio._serialize(dense, shape, "special", fmt))
+    for chunk in (1, 150, fileio._CHUNK_CHARS):
+        fast = check_readers(text, fmt, chunk)
+        assert fast is not None
+    values = fast[2].reshape(-1)[np.flatnonzero(dense)]
+    written = re.findall(r'"re": ([^,]*), "im": ([^}]*)', text)
+    assert [(x.real, x.imag) for x in values.tolist()] == [(float(a), float(b)) for a, b in written]
+    signs = np.signbit(np.stack([values.real, values.imag], axis=1))
+    assert signs.tolist() == [[t in ("-0.0", "-0e0") or float(t) < 0 for t in pair] for pair in written]
 
 
 # Faults placed in one record of a realistic non-canonical file; each maps a

@@ -1,12 +1,14 @@
 """Positivity is proven once, where data enters or leaves.
 
-validate_isa, with its O(N^3) eigvalsh, runs on parse/read with validation,
-on serialize/write, and on explicit validate_isa/require_valid calls.
-Builders and transforms assume valid inputs and re-check only Hermiticity,
-trace and the diagonal. These tests pin where eigvalsh runs, that every such
-operation still yields a valid arrangement, that the kept checks still fire,
-that a tensor's spectrum is computed once, and that the index-based screen
-permutation and product test give exactly what the matrix routes give.
+Parse/read with validation, serialize/write and require_valid prove it by
+one shifted Cholesky, and run validate_isa's O(N^3) eigvalsh only to explain
+a failure; explicit validate_isa calls always run it. Builders and
+transforms assume valid inputs and re-check only Hermiticity, trace and the
+diagonal. These tests pin where Cholesky and eigvalsh run, that the gate
+passes only what eigvalsh passes, that every such operation still yields a
+valid arrangement, that the kept checks still fire, that a tensor's spectrum
+is computed once, and that the index-based screen permutation and product
+test give exactly what the matrix routes give.
 """
 
 import itertools
@@ -95,17 +97,27 @@ def test_product_test_matches_matrix_route_on_every_cut(counts, seed):
                 assert qlab.is_product_across(ea, cut) == loop_is_product_across(ea, cut), cut
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
+def _counted(monkeypatch, name):
+    """The shapes np.linalg.<name> is called on, from now on."""
     calls = []
-    real = np.linalg.eigvalsh
+    real = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return _counted(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    return _counted(monkeypatch, "cholesky")
 
 
 COUNTED = {
@@ -124,14 +136,30 @@ def test_operations_on_valid_input_run_no_eigvalsh(op, eigvalsh_calls):
     assert eigvalsh_calls == []
 
 
-def test_read_and_write_each_run_one_eigvalsh(eigvalsh_calls, tmp_path):
+def test_read_and_write_each_run_one_cholesky_and_no_eigvalsh(eigvalsh_calls, cholesky_calls, tmp_path):
     ea = qlab.random_arrangement(configuration(2, 3, 2), 5)
     eigvalsh_calls.clear()
     path = str(tmp_path / "a.ea")
     qlab.write_arrangement(path, ea)
-    assert eigvalsh_calls == [(12, 12)]
+    assert (cholesky_calls, eigvalsh_calls) == ([(12, 12)], [])
     qlab.read_arrangement(path)
-    assert eigvalsh_calls == [(12, 12)] * 2
+    assert (cholesky_calls, eigvalsh_calls) == ([(12, 12)] * 2, [])
+    # a failed Cholesky: exactly one eigvalsh, which explains the failure
+    not_psd = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=np.complex128)
+    text = qlab.fileio._serialize(not_psd, configuration(2), None, qlab.fileio._ARRANGEMENT)
+    bad = ExperimentalArrangement(DenseOperatorTensor(configuration(2), not_psd))
+    for fail in (lambda: qlab.parse_arrangement(text), lambda: qlab.serialize_arrangement(bad)):
+        cholesky_calls.clear()
+        eigvalsh_calls.clear()
+        with pytest.raises(qlab.ValidationError, match="positive"):
+            fail()
+        assert (cholesky_calls, eigvalsh_calls) == ([(2, 2)], [(2, 2)])
+    # a failed O(N^2) check: no Cholesky, exactly one eigvalsh
+    cholesky_calls.clear()
+    eigvalsh_calls.clear()
+    with pytest.raises(qlab.ValidationError, match="trace"):
+        qlab.require_valid(ExperimentalArrangement(DenseOperatorTensor(configuration(2), np.diag([0.9, 0.2]))))
+    assert (cholesky_calls, eigvalsh_calls) == ([], [(2, 2)])
 
 
 def test_verifier_and_purity_share_one_spectrum_per_tensor(eigvalsh_calls):
@@ -174,3 +202,88 @@ def test_transforms_assume_positivity_and_the_boundaries_prove_it():
         qlab.require_valid(moved)
     with pytest.raises(qlab.ValidationError, match="positive"):
         qlab.serialize_arrangement(moved)
+
+
+def _with_smallest_eigenvalue(n, rank, low, seed):
+    """Trace-one Hermitian n x n matrix: eigenvalue `low` (unless `rank` is
+    n), `rank` positive ones, zeros elsewhere, in a Haar-random basis."""
+    rng = qlab.make_rng(seed)
+    weights = rng.dirichlet(np.ones(rank)) * (1.0 - (low if rank < n else 0.0))
+    spectrum = np.zeros(n)
+    spectrum[:rank] = weights
+    if rank < n:
+        spectrum[rank] = low
+    u = qlab.random_unitary(n, rng)
+    a = (u * spectrum) @ u.conj().T
+    return ExperimentalArrangement(DenseOperatorTensor(configuration(n), (a + a.conj().T) / 2.0))
+
+
+def test_cholesky_gate_passes_only_what_eigvalsh_passes():
+    floor, shift, u = qlab.tolerances.PSD_EIGENVALUE_FLOOR, qlab.tolerances.PSD_CHOLESKY_SHIFT, 2.0**-53
+    for n in (1, 2, 3, 7, 12, 64):
+        ranks = range(1, n + 1) if n <= 12 else (1, 2, 3, 32, 63, 64)
+        for rank in ranks:  # lambda_min >= 0: the gate passes, no eigvalsh needed
+            ea = _with_smallest_eigenvalue(n, rank, 0.0, 100 * n + rank)
+            assert qlab.arrangement._passes_gate(ea), (n, rank)
+            assert qlab.validate_isa(ea).valid
+        if n == 1:
+            continue
+        near = [edge + k * n * u for edge in (floor, -shift) for k in (-64, -8, -1, 0, 1, 8, 64)]
+        for i, low in enumerate(near + [-1e-9, -1e-3]):
+            for rank in {1, n - 1}:
+                ea = _with_smallest_eigenvalue(n, rank, low, 7 * i + rank)
+                gate, report = qlab.arrangement._passes_gate(ea), qlab.validate_isa(ea)
+                assert report.valid or not gate, (n, rank, low)  # a gate pass is an eigvalsh pass
+                # they may disagree only where eigvalsh passes and the gate refuses: floor <= low < about -shift
+                if low < -shift - 1e-12 or low > -shift + 1e-12:
+                    assert gate == (low > -shift), (n, rank, low)
+                if report.valid:
+                    assert qlab.require_valid(ea) is ea
+                else:
+                    with pytest.raises(qlab.ValidationError) as failed:
+                        qlab.require_valid(ea)
+                    detail = ", ".join(f"{c.name} (residual {c.residual:.6e})" for c in report.checks if not c.passed)
+                    assert str(failed.value) == "arrangement failed validation: " + detail
+
+
+@pytest.mark.parametrize(
+    "matrix, checks",
+    [
+        ([[0.5, 0.9], [0.9, 0.5]], "positive (residual 4.000000e-01)"),
+        ([[0.5, 0.1], [0.0, 0.5]], "hermitian (residual 1.000000e-01)"),
+        ([[0.9, 0.0], [0.0, 0.2]], "trace (residual 1.000000e-01)"),
+        (
+            [[0.7, 0.9], [0.8, 0.5]],
+            "hermitian (residual 1.000000e-01), trace (residual 2.000000e-01), positive (residual 2.558621e-01)",
+        ),
+    ],
+)
+def test_failed_gate_keeps_every_message(matrix, checks):
+    m = np.array(matrix, dtype=np.complex128)
+    ea = ExperimentalArrangement(DenseOperatorTensor(configuration(2), m))
+    text = qlab.fileio._serialize(m, configuration(2), None, qlab.fileio._ARRANGEMENT)
+    for fail in (lambda: qlab.require_valid(ea), lambda: qlab.parse_arrangement(text)):
+        with pytest.raises(qlab.ValidationError) as failed:
+            fail()
+        assert str(failed.value) == "arrangement failed validation: " + checks
+    with pytest.raises(qlab.ValidationError) as refused:
+        qlab.serialize_arrangement(ea)
+    names = ", ".join(check.split(" ")[0] for check in checks.split("), "))
+    assert str(refused.value) == "refusing to serialize an invalid arrangement: " + names
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+def test_haar_draws_are_unitary_without_the_check(n):
+    bt = BasisTransformation.random(configuration(n), n)
+    u = bt.matrix
+    assert float(np.max(np.abs(u @ u.conj().T - np.eye(n)))) <= qlab.tolerances.UNITARITY_TOL
+    assert np.array_equal(u, qlab.random_unitary(n, n))
+    back = bt.inverse()
+    assert back._unitary and np.array_equal(back.matrix, u.conj().T)
+    caller = BasisTransformation(configuration(n), configuration(n), u)
+    assert not caller._unitary and not caller.inverse()._unitary
+    with pytest.raises(qlab.NumericError, match="not unitary"):
+        BasisTransformation(configuration(n), configuration(n), 1.5 * u)
+    for private in ("_unitary", "_source_index"):  # the check cannot be skipped from the constructor
+        with pytest.raises(TypeError):
+            BasisTransformation(configuration(n), configuration(n), 1.5 * u, **{private: True})
