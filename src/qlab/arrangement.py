@@ -115,16 +115,25 @@ class IsaValidationReport:
 
 def _structural_checks(a: np.ndarray) -> tuple[IsaCheck, ...]:
     """The O(N^2) checks of validate_isa: hermitian, trace, diagonal. The
-    diagonal residual is the worst of imaginary part and distance outside [0, 1]."""
+    diagonal residual is the worst of imaginary part and distance outside [0, 1].
+    Entries near the largest double give inf residuals, which fail."""
     diag = a.diagonal()
     below = float(np.max(np.maximum(-diag.real, 0.0)))
     above = float(np.max(np.maximum(diag.real - 1.0, 0.0)))
-    found = (
-        ("hermitian", float(np.max(np.abs(a - a.conj().T))), tolerances.HERMITICITY_TOL),
-        ("trace", abs(complex(np.trace(a)) - 1.0), tolerances.TRACE_TOL),
-        ("diagonal", max(float(np.max(np.abs(diag.imag))), below, above), tolerances.DIAGONAL_TOL),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = (
+            ("hermitian", float(np.max(np.abs(a - a.conj().T))), tolerances.HERMITICITY_TOL),
+            ("trace", float(abs(np.trace(a) - 1.0)), tolerances.TRACE_TOL),
+            ("diagonal", max(float(np.max(np.abs(diag.imag))), below, above), tolerances.DIAGONAL_TOL),
+        )
     return tuple(IsaCheck(name, res <= tol, res, tol) for name, res, tol in found)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dagger) / 2, halved first so that finite entries cannot overflow."""
+    conj = a.conj()
+    conj /= 2.0
+    return a / 2.0 + conj.T
 
 
 def validate_isa(ea: ExperimentalArrangement) -> IsaValidationReport:
@@ -138,9 +147,11 @@ def validate_isa(ea: ExperimentalArrangement) -> IsaValidationReport:
     herm, trace, diag = _structural_checks(a)
     # eigvalsh assumes Hermitian input; symmetrize so a lopsided candidate
     # still gets a sensible positivity figure instead of garbage
-    min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+    min_eig = float(np.linalg.eigvalsh(_hermitian_part(a))[0])
     floor = tolerances.PSD_EIGENVALUE_FLOOR
-    positive = IsaCheck("positive", min_eig >= floor, max(0.0, -min_eig), -floor)
+    # eigvalsh returns NaN when the spectrum overflows: an inf residual
+    residual = np.inf if np.isnan(min_eig) else max(0.0, -min_eig)
+    positive = IsaCheck("positive", min_eig >= floor, residual, -floor)
     return IsaValidationReport((herm, trace, positive, diag))
 
 
@@ -162,13 +173,14 @@ def _passes_gate(ea: ExperimentalArrangement) -> bool:
     a = ea.alpha.entries
     if not all(check.passed for check in _structural_checks(a)):
         return False
-    shifted = (a + a.conj().T) / 2.0
+    shifted = _hermitian_part(a)
     shifted.flat[:: len(a) + 1] += tolerances.PSD_CHOLESKY_SHIFT
     try:
-        np.linalg.cholesky(shifted)
+        # An overflow yields a non-finite factor, not an error, and a
+        # non-finite entry spreads to every later diagonal entry.
+        return bool(np.all(np.isfinite(np.linalg.cholesky(shifted).diagonal())))
     except np.linalg.LinAlgError:
         return False
-    return True
 
 
 def require_valid(ea: ExperimentalArrangement) -> ExperimentalArrangement:

@@ -117,8 +117,6 @@ def schmidt_rank_profile(
         )
     v = _as_state(state, shape)
     profile: dict[Bipartition, int] = {}
-    if n == 1:
-        return profile
     rest = list(range(2, n + 1))
     for r in range(0, n - 1):
         for extra in itertools.combinations(rest, r):
@@ -136,12 +134,9 @@ def is_fully_separable_pure(
     product reconstructs the state.
     """
     v = _as_state(state, shape)
-    counts = shape.detector_counts
-    if len(counts) == 1:
-        return True, [v]
     factors: list[np.ndarray] = []
     current = v
-    remaining = counts
+    remaining = shape.detector_counts
     while len(remaining) > 1:
         sub_shape = ScreenConfiguration(remaining)
         cut = Bipartition.split((1,), len(remaining))

@@ -3,7 +3,8 @@
 A basis transformation is a unitary matrix read against the fixed flattening
 of a source and a target configuration. The two configurations may factorize
 the same total dimension differently; only the product has to agree. Entry
-transformation is matrix conjugation under that flattening:
+transformation is one conjugation under that flattening, computed in one
+place, by index moves when the matrix permutes:
 
     transformed = matrix @ alpha @ matrix^dagger
 
@@ -12,8 +13,9 @@ and adjoining a pure screen preserve validity, so results get only the O(N^2)
 Hermiticity, trace and diagonal checks; positivity is not proven again.
 
 Two verifiers exercise the calculus end to end: one checks that a unitary
-change of description preserves spectra and projector valuations, the other
-that adjoining an uncorrelated screen and then removing it is lossless.
+change of description preserves spectra and projector valuations, read from
+the result moved back by the inverse; the other that adjoining an
+uncorrelated screen and then removing it is lossless.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ class BasisTransformation:
 
     The constructor proves the matrix unitary by an N^3 check. Haar draws,
     screen permutations and their inverses are unitary by construction;
-    they are built by _unitary_by_construction, which skips that check. A
-    screen permutation, the identity included, also keeps `_source_index`,
-    the source flat position of each target one. Its matrix is
-    eye(N)[_source_index], and change_basis moves entries by index instead
-    of multiplying.
+    _unitary_by_construction builds them without that check. A screen
+    permutation, the identity included, also keeps `_source_index`, the
+    source flat position of each target one: row i of its matrix has its 1
+    in column _source_index[i], and entries move by index, not by products.
     """
 
     source_shape: ScreenConfiguration
@@ -78,7 +79,7 @@ class BasisTransformation:
     def identity(
         cls, shape: ScreenConfiguration, target_shape: ScreenConfiguration | None = None
     ) -> "BasisTransformation":
-        return cls._permutation(shape, target_shape or shape, np.arange(shape.dimension))
+        return cls._unitary_by_construction(shape, target_shape or shape, np.arange(shape.dimension))
 
     @classmethod
     def random(
@@ -101,37 +102,39 @@ class BasisTransformation:
         if sorted(perm) != list(range(1, n + 1)):
             raise DimensionError(f"order {perm} is not a permutation of 1..{n}")
         target, src = _reordered(shape, perm)
-        return cls._permutation(shape, target, src)
-
-    @classmethod
-    def _permutation(
-        cls, source: ScreenConfiguration, target: ScreenConfiguration, src: np.ndarray
-    ) -> "BasisTransformation":
-        """Target flat position i takes source position src[i]."""
-        src.setflags(write=False)
-        return cls._unitary_by_construction(source, target, np.eye(source.dimension, dtype=np.complex128)[src], src)
+        return cls._unitary_by_construction(shape, target, src)
 
     @classmethod
     def _unitary_by_construction(
-        cls,
-        source: ScreenConfiguration,
-        target: ScreenConfiguration,
-        matrix: np.ndarray,
-        source_index: np.ndarray | None = None,
+        cls, source: ScreenConfiguration, target: ScreenConfiguration, built: np.ndarray
     ) -> "BasisTransformation":
-        """The constructor's result for a matrix unitary by construction, without its N^3 check."""
+        """The constructor's result, minus its N^3 check, for a Haar matrix or a permutation's source index."""
+        src = None
+        if built.ndim == 1:
+            src, built = built, np.zeros((source.dimension, source.dimension), dtype=np.complex128)
+            built[np.arange(len(src)), src] = 1.0
+            src.setflags(write=False)
+        built.setflags(write=False)  # frozen here, so __post_init__ keeps it without a copy
         bt = cls.__new__(cls)
         names = "source_shape", "target_shape", "matrix", "_source_index", "_unitary"
-        for name, value in zip(names, (source, target, matrix, source_index, True)):
+        for name, value in zip(names, (source, target, built, src, True)):
             object.__setattr__(bt, name, value)
         bt.__post_init__()
         return bt
 
     def inverse(self) -> "BasisTransformation":
         if self._source_index is not None:
-            return BasisTransformation._permutation(self.target_shape, self.source_shape, np.argsort(self._source_index))
-        build = BasisTransformation._unitary_by_construction if self._unitary else BasisTransformation
+            return self._unitary_by_construction(self.target_shape, self.source_shape, np.argsort(self._source_index))
+        build = self._unitary_by_construction if self._unitary else BasisTransformation
         return build(self.target_shape, self.source_shape, self.matrix.conj().T)
+
+
+def _conjugate(entries: np.ndarray, bt: BasisTransformation) -> np.ndarray:
+    """bt.matrix @ entries @ bt.matrix^dagger; an index move for a permutation."""
+    src = bt._source_index
+    if src is None:
+        return bt.matrix @ entries @ bt.matrix.conj().T
+    return entries[np.ix_(src, src)]
 
 
 def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> ExperimentalArrangement:
@@ -140,12 +143,7 @@ def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> Experi
         raise DimensionError(
             f"arrangement configuration {ea.shape} does not match transformation source {bt.source_shape}"
         )
-    src = bt._source_index
-    if src is None:
-        moved = bt.matrix @ ea.alpha.entries @ bt.matrix.conj().T
-    else:
-        moved = ea.alpha.entries[np.ix_(src, src)]
-    return _valid_result(DenseOperatorTensor(bt.target_shape, moved), ea.label)
+    return _valid_result(DenseOperatorTensor(bt.target_shape, _conjugate(ea.alpha.entries, bt)), ea.label)
 
 
 def refactorize(ea: ExperimentalArrangement, new_shape: ScreenConfiguration) -> ExperimentalArrangement:
@@ -233,19 +231,20 @@ def verify_basis_invariance(
         tr(b lam C C^dagger lam^dagger) = tr(C^dagger (lam^dagger b lam) C),
 
     so it is read from `pulled` = lam^dagger b lam, which the basis powers
-    need anyway, in O(N^2 rank) without forming an N x N projector.
+    need anyway, in O(N^2 rank) without forming an N x N projector. `pulled`
+    is b moved back by bt.inverse(), an index move for a permutation.
     """
     if extra_projectors < 0:
         raise DimensionError(f"need a nonnegative number of extra projectors, got {extra_projectors}")
     moved = change_basis(ea, bt)
     n = ea.dimension
-    a, b, lam = ea.alpha.entries, moved.alpha.entries, bt.matrix
+    a, b = ea.alpha.entries, moved.alpha.entries
 
     spectrum_residual = float(np.max(np.abs(ea.alpha.spectrum - moved.alpha.spectrum)))
 
     # Basis powers all at once: valuations on the source are diag(a); their
-    # images have valuation diag(lam^dagger b lam).
-    pulled = lam.conj().T @ b @ lam
+    # images have valuation diag(pulled).
+    pulled = _conjugate(b, bt.inverse())
     valuation_residual = float(np.max(np.abs(a.diagonal().real - pulled.diagonal().real)))
     # Identity maps to itself.
     valuation_residual = max(valuation_residual, abs(float(np.trace(a).real) - float(np.trace(b).real)))

@@ -81,6 +81,59 @@ class TestValidate:
         assert payload["degree"] == 16
 
 
+def _huge_entries_file(tmp_path, counts, records):
+    path = tmp_path / "huge.ea"
+    entries = ", ".join(
+        f'{{"bra": [{i}], "ket": [{j}], "re": {re}, "im": {im}}}' for (i, j), (re, im) in records.items()
+    )
+    path.write_text(f'{{"version": 1, "factorization": {counts}, "entries": [{entries}]}}')
+    return str(path)
+
+
+BIG = 1.7e308
+HUGE_ENTRY_CASES = {
+    # every entry 1.7e308: the trace overflows, the symmetrization must not
+    "all entries": (
+        [2], {(i, j): (BIG, 0) for i in (1, 2) for j in (1, 2)},
+        {"hermitian": "0", "trace": "inf", "positive": "0", "diagonal": "1.6999999999999999e+308"},
+        "trace (residual inf), diagonal (residual 1.700000e+308)",
+    ),
+    # not Hermitian: a - a^dagger overflows off the diagonal
+    "antisymmetric": (
+        [2], {(1, 1): (0.5, 0), (1, 2): (BIG, 0), (2, 1): (-BIG, 0), (2, 2): (0.5, 0)},
+        {"hermitian": "inf", "trace": "0", "positive": "0", "diagonal": "0"},
+        "hermitian (residual inf)",
+    ),
+    # Hermitian, but the spectrum overflows: the Cholesky gate must not pass it
+    "overflowing spectrum": (
+        [2], {(1, 1): (0.5, 0), (1, 2): (BIG, BIG), (2, 1): (BIG, -BIG), (2, 2): (0.5, 0)},
+        {"hermitian": "0", "trace": "0", "positive": "inf", "diagonal": "0"},
+        "positive (residual inf)",
+    ),
+    # one entry whose modulus overflows: the trace residual is inf, not an OverflowError
+    "one detector": (
+        [1], {(1, 1): (BIG, BIG)},
+        {"hermitian": "inf", "trace": "inf", "positive": "0", "diagonal": "1.6999999999999999e+308"},
+        "hermitian (residual inf), trace (residual inf), diagonal (residual 1.700000e+308)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_ENTRY_CASES))
+def test_entries_near_the_largest_double_fail_without_warnings(capsys, tmp_path, case):
+    counts, records, residuals, failures = HUGE_ENTRY_CASES[case]
+    path = _huge_entries_file(tmp_path, counts, records)
+    rc, out, err = run(capsys, "validate", "--in", path)
+    report = as_dict(out)
+    assert (rc, err, report["valid"]) == (3, "", "false")
+    for name, residual in residuals.items():
+        assert report[f"check[{name}].residual"] == residual
+        assert report[f"check[{name}].passed"] == ("true" if residual == "0" else "false")
+    rc, out, err = run(capsys, "potentia", "--in", path)
+    assert (rc, out) == (3, "")
+    assert err == f"error[validation]: arrangement failed validation: {failures}\n"
+
+
 class TestPotentia:
     def test_full_table(self, capsys, table_file):
         rc, out, _ = run(capsys, "potentia", "--in", table_file)

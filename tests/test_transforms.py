@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,24 @@ class TestBasisTransformation:
         assert moved.alpha.entries.tobytes() == ea.alpha.entries.tobytes()
         with pytest.raises(DimensionError, match="^source dimension 8 differs from target dimension 9$"):
             BasisTransformation.identity(ea.shape, configuration(3, 3))
+
+    @pytest.mark.parametrize("build", ["identity", "screen_permutation", "inverse"])
+    def test_permutations_hold_one_matrix_at_peak(self, build):
+        shape, order = configuration(*[2] * 10), tuple(range(10, 0, -1))
+        n = shape.dimension
+        make = {
+            "identity": lambda: BasisTransformation.identity(shape),
+            "screen_permutation": lambda: BasisTransformation.screen_permutation(shape, order),
+            "inverse": BasisTransformation.screen_permutation(shape, order).inverse,
+        }[build]
+        tracemalloc.start()
+        try:
+            bt = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(bt.matrix[np.arange(n), bt._source_index], np.ones(n))
+        assert peak <= 1.25 * n * n * 16
 
     def test_rejects_bad_matrix(self):
         shape = configuration(2)
@@ -270,6 +290,22 @@ class TestVerifiers:
         report = verify_basis_invariance(ea, BasisTransformation.identity(ea.shape))
         assert report.passed
         assert report.spectrum_residual == 0.0
+
+    @pytest.mark.parametrize("order", [None, (3, 1, 2)])
+    def test_basis_invariance_of_a_permutation_never_reads_its_matrix(self, order):
+        ea = qlab.random_arrangement(configuration(2, 3, 4), 41)
+
+        def build():
+            if order is None:
+                return BasisTransformation.identity(ea.shape)
+            return BasisTransformation.screen_permutation(ea.shape, order)
+
+        expected = verify_basis_invariance(ea, build(), seed=42)
+        bt = build()
+        n = ea.dimension
+        object.__setattr__(bt, "matrix", np.full((n, n), np.nan))
+        report = verify_basis_invariance(ea, bt, seed=42)
+        assert report.passed and report == expected
 
     def test_basis_invariance_rejects_negative_projector_count(self):
         ea = two_detector_table()
