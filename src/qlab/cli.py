@@ -27,7 +27,7 @@ import numpy as np
 from .arrangement import SAMPLER_ALGORITHM, sample_outcomes, validate_isa
 from .entanglement import Bipartition, is_product_across, schmidt_decompose
 from .errors import DimensionError, ParseError, QLabError
-from .fileio import read_arrangement, read_state, write_arrangement
+from .fileio import _write_text, read_arrangement, read_state, write_arrangement
 from .screens import ScreenConfiguration
 from .tensor import _check_capacity
 from .transforms import (
@@ -125,6 +125,9 @@ def _potentia(args, ea):
 
 def _change_basis(args, ea):
     if args.permute_screens is not None:
+        if args.random_unitary or args.target_shape is not None:
+            other = "--random-unitary" if args.random_unitary else "--target-shape"
+            raise ParseError(f"change-basis: --permute-screens cannot be combined with {other}")
         bt = BasisTransformation.screen_permutation(ea.shape, args.permute_screens)
         mode = [("mode", "permutation")]
     elif args.random_unitary:
@@ -144,19 +147,22 @@ def _remove_screen(args, ea):
 
 
 def _extend(args, ea):
-    dim = args.ancilla_dim
+    dim, basis = args.ancilla_dim, args.ancilla_basis
     if args.ancilla_state is not None:
+        if basis is not None:
+            raise ParseError("extend: --ancilla-state cannot be combined with --ancilla-basis")
         phi, state_shape, _ = read_state(args.ancilla_state)
         if state_shape.detector_counts != (dim,):
             raise DimensionError(f"ancilla state file has factorization {state_shape}, expected [{dim}]")
         ancilla = "file:" + args.ancilla_state
     else:
-        if not 1 <= args.ancilla_basis <= dim:
-            raise DimensionError(f"ancilla basis index {args.ancilla_basis} out of range 1..{dim}")
+        basis = 1 if basis is None else basis
+        if not 1 <= basis <= dim:
+            raise DimensionError(f"ancilla basis index {basis} out of range 1..{dim}")
         _check_capacity(ea.dimension, dim)
         phi = np.zeros(dim, dtype=np.complex128)
-        phi[args.ancilla_basis - 1] = 1.0
-        ancilla = f"basis:{args.ancilla_basis}"
+        phi[basis - 1] = 1.0
+        ancilla = f"basis:{basis}"
     return _written(args, ea, extend_arrangement(ea, dim, phi), ("ancilla_dim", dim), ("ancilla", ancilla))
 
 
@@ -229,9 +235,7 @@ def _render(args, ea):
         canvas_height=args.height,
         show_labels=args.labels,
     )
-    svg = render_arrangement_svg(ea, options)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(args.out, render_arrangement_svg(ea, options))
     return [("output", args.out), ("glyphs", len(depicted_powers(ea, options)))], True
 
 
@@ -268,8 +272,8 @@ COMMANDS = {
     "extend": ("adjoin an uncorrelated pure screen as the last screen", "arrangement", [
         _OUT,
         _arg("--ancilla-dim", type=_positive_int, required=True),
-        _arg("--ancilla-basis", type=_positive_int, default=1, help="1-based basis state of the new screen"),
-        _arg("--ancilla-state", help="state file (.qs) holding the ancilla amplitudes"),
+        _arg("--ancilla-basis", type=_positive_int, help="1-based basis state of the new screen (default 1)"),
+        _arg("--ancilla-state", help="state file (.qs) holding the ancilla amplitudes, in place of --ancilla-basis"),
     ], _extend),
     "schmidt": ("Schmidt decomposition of a state file across a cut", "state", [
         _arg("--left", type=_index_list, required=True, help="screens on the left side, e.g. 1,3"),

@@ -27,10 +27,12 @@ stored values so round trips stay exact.
 
 A malformed file is reported at its first faulty record, in file order, as
 `entries[i].<field>` or `amplitudes[i].<field>`; within a record the checks
-run in the order object, index fields, duplicate, re, im. An integer too large
-for a float in re or im is a parse error, as are non-UTF-8 text, JSON nested
-too deep to decode, and a label outside XML 1.0 text (lone surrogates, C0
-controls but tab, LF, CR), which the writers refuse too.
+run in the order object, index fields, duplicate, re, im. An index field that
+is not a list of integers is a parse error; a list of integers of the wrong
+length or out of range gets ScreenConfiguration's DimensionError. An integer
+too large for a float in re or im is a parse error, as are non-UTF-8 text,
+JSON nested too deep to decode, and a label outside XML 1.0 text (lone
+surrogates, C0 controls but tab, LF, CR), which the writers refuse too.
 
 Text in the writer's canonical layout (the same bytes but for the number
 tokens, which may be any JSON numbers) is read about a megabyte of records
@@ -45,7 +47,9 @@ which is what JSON's decoder calls, so the arrays are bit-identical (a bare
 -0, an integer to JSON, reads as +0.0). Any other text, canonical text with a
 fault included, is decoded as JSON and read record by record, in file order,
 stopping at the first fault with the errors above. The writer formats all
-records at once.
+records at once; it serializes an arrangement only if the arrangement module
+finds it valid. Every output file, the CLI's SVG too, is written by one
+routine as UTF-8 with LF line ends, whatever the platform's line separator.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances
-from .arrangement import ExperimentalArrangement, _label_fault, _passes_gate, require_valid, validate_isa
-from .errors import DimensionError, ParseError, QLabError, ValidationError
+from .arrangement import ExperimentalArrangement, _failed_checks, _label_fault, require_valid
+from .errors import DimensionError, ParseError, ValidationError
 from .screens import ScreenConfiguration
 from .tensor import DenseOperatorTensor, _unit_norm
 
@@ -141,17 +145,6 @@ def _real(value: object, where: str) -> float:
         raise ParseError(f"{where} is too large for a float") from None
 
 
-def _index_fault(raw: object, where: str, shape: ScreenConfiguration) -> QLabError:
-    """The error of an index field that is not an in-range multi-index."""
-    if type(raw) is not list or any(type(k) is not int for k in raw):
-        return ParseError(f"{where} must be a list of integers")
-    try:
-        shape.check_index(raw)
-    except DimensionError as e:
-        return e
-    raise AssertionError(f"{where} {raw} passed check_index")
-
-
 def _read_records(records: list, fmt: _Format, shape: ScreenConfiguration, dense: np.ndarray) -> None:
     """Write each record's value into `dense`, in file order.
 
@@ -169,7 +162,9 @@ def _read_records(records: list, fmt: _Format, shape: ScreenConfiguration, dense
             raw = record.get(field)
             flat = flat_of.get(tuple(raw)) if type(raw) is list and tuple(map(type, raw)) == ints else None
             if flat is None:
-                raise _index_fault(raw, f"{fmt.records}[{i}].{field}", shape)
+                if type(raw) is not list or any(type(k) is not int for k in raw):
+                    raise ParseError(f"{fmt.records}[{i}].{field} must be a list of integers")
+                flat = shape.flat_index(raw)  # raises the DimensionError of a wrong length or range
             key = key * n + flat
         if key in seen:
             raise ParseError(f"{fmt.records}[{i}]: " + fmt.duplicate.format(**record))
@@ -396,10 +391,8 @@ def parse_arrangement(text: str, validate: bool = True) -> ExperimentalArrangeme
 
 def serialize_arrangement(ea: ExperimentalArrangement) -> str:
     """Canonical .ea text for a valid arrangement."""
-    if not _passes_gate(ea) and not (report := validate_isa(ea)).valid:
-        raise ValidationError(
-            "refusing to serialize an invalid arrangement: " + ", ".join(report.failures())
-        )
+    if failed := _failed_checks(ea):
+        raise ValidationError("refusing to serialize an invalid arrangement: " + ", ".join(c.name for c in failed))
     return _serialize(ea.alpha.entries, ea.shape, ea.label, _ARRANGEMENT)
 
 
@@ -442,10 +435,14 @@ def read_arrangement(path: str, validate: bool = True) -> ExperimentalArrangemen
     return parse_arrangement(_read_text(path), validate=validate)
 
 
-def write_arrangement(path: str, ea: ExperimentalArrangement) -> None:
-    text = serialize_arrangement(ea)
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 with LF line ends, whatever the platform's."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def write_arrangement(path: str, ea: ExperimentalArrangement) -> None:
+    _write_text(path, serialize_arrangement(ea))
 
 
 def read_state(path: str) -> tuple[np.ndarray, ScreenConfiguration, str | None]:
@@ -458,6 +455,4 @@ def write_state(
     shape: ScreenConfiguration,
     label: str | None = None,
 ) -> None:
-    text = serialize_state(amplitudes, shape, label)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, serialize_state(amplitudes, shape, label))

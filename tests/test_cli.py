@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -193,7 +194,7 @@ class TestTransformCommands:
         assert as_dict(out)["target_factorization"] == "4,4"
         rc2, _, _ = run(capsys, "refactor", "--in", wide, "--out", back, "--shape", "2,2,2,2")
         assert rc2 == 0
-        assert open(back, "rb").read() == open(pair_file, "rb").read()
+        assert pathlib.Path(back).read_bytes() == pathlib.Path(pair_file).read_bytes()
 
     def test_remove_then_extend_restores_bytes(self, capsys, pair_file, tmp_path):
         reduced = str(tmp_path / "reduced.ea")
@@ -207,7 +208,7 @@ class TestTransformCommands:
             "--ancilla-dim", "2", "--ancilla-basis", "2",
         )
         assert rc2 == 0
-        assert open(restored, "rb").read() == open(pair_file, "rb").read()
+        assert pathlib.Path(restored).read_bytes() == pathlib.Path(pair_file).read_bytes()
 
     def test_extend_with_state_file(self, capsys, pair_file, tmp_path):
         phi = str(tmp_path / "phi.qs")
@@ -225,7 +226,7 @@ class TestTransformCommands:
             "--ancilla-dim", "2", "--ancilla-basis", "2",
         )
         assert rc2 == 0
-        assert open(by_file, "rb").read() == open(by_basis, "rb").read()
+        assert pathlib.Path(by_file).read_bytes() == pathlib.Path(by_basis).read_bytes()
 
     def test_extend_state_factorization_mismatch(self, capsys, pair_file, tmp_path):
         phi = str(tmp_path / "phi.qs")
@@ -236,6 +237,37 @@ class TestTransformCommands:
         )
         assert rc == 4
         assert "error[dimension]" in err
+
+    def test_extend_defaults_to_basis_state_one(self, capsys, pair_file, tmp_path):
+        implicit, explicit = tmp_path / "implicit.ea", tmp_path / "explicit.ea"
+        rc1, out, _ = run(capsys, "extend", "--in", pair_file, "--out", str(implicit), "--ancilla-dim", "2")
+        rc2, _, _ = run(
+            capsys, "extend", "--in", pair_file, "--out", str(explicit), "--ancilla-dim", "2", "--ancilla-basis", "1"
+        )
+        assert rc1 == rc2 == 0
+        assert as_dict(out)["ancilla"] == "basis:1"
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["change-basis", "--permute-screens", "2,1,3,4", "--random-unitary"],
+            "change-basis: --permute-screens cannot be combined with --random-unitary",
+        ),
+        (
+            ["change-basis", "--permute-screens", "2,1,3,4", "--target-shape", "16"],
+            "change-basis: --permute-screens cannot be combined with --target-shape",
+        ),
+        (
+            ["extend", "--ancilla-dim", "2", "--ancilla-state", "phi.qs", "--ancilla-basis", "2"],
+            "extend: --ancilla-state cannot be combined with --ancilla-basis",
+        ),
+    ], ids=["permute-and-random-unitary", "permute-and-target-shape", "state-and-basis"])
+    def test_contradictory_flags_are_parse_errors(self, capsys, pair_file, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_state("phi.qs", np.array([0.0, 1.0]), configuration(2))
+        rc, out, err = run(capsys, *argv, "--in", pair_file, "--out", "x.ea")
+        assert (rc, out, err) == (2, "", f"error[parse]: {message}\n")
+        assert not (tmp_path / "x.ea").exists()
 
     def test_remove_screen_out_of_range(self, capsys, pair_file, tmp_path):
         rc, _, err = run(
@@ -365,10 +397,10 @@ class TestSampleAndRender:
         rc, out, _ = run(capsys, "render", "--in", pair_file, "--out", out_path)
         assert rc == 0
         assert as_dict(out)["glyphs"] == "2"
-        first = open(out_path, "rb").read()
+        first = pathlib.Path(out_path).read_bytes()
         assert first.startswith(b"<?xml")
         run(capsys, "render", "--in", pair_file, "--out", out_path)
-        assert open(out_path, "rb").read() == first
+        assert pathlib.Path(out_path).read_bytes() == first
 
     def test_render_options(self, capsys, table_file, tmp_path):
         out_path = str(tmp_path / "table.svg")
@@ -378,7 +410,7 @@ class TestSampleAndRender:
         )
         assert rc == 0
         assert as_dict(out)["glyphs"] == "1"
-        text = open(out_path).read()
+        text = pathlib.Path(out_path).read_text(encoding="utf-8")
         assert 'width="200.000"' in text
         assert "screen-label" in text
 

@@ -1,11 +1,14 @@
+import _pyio
 import contextlib
 import gc
 import json
+import os
 
 import numpy as np
 import pytest
 
 import qlab
+import qlab.cli
 from qlab import (
     DimensionError,
     NumericError,
@@ -110,6 +113,18 @@ class TestArrangementRoundTrip:
         write_arrangement(path, four_screen_pair())
         back = read_arrangement(path)
         assert np.array_equal(back.alpha.entries, four_screen_pair().alpha.entries)
+
+    def test_writers_emit_lf_where_the_line_separator_is_crlf(self, tmp_path, monkeypatch):
+        # the pure-Python io module translates "\n" to os.linesep, as the C one does on Windows
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(qlab.fileio, "open", _pyio.open, raising=False)
+        ea, v = four_screen_pair(), bell_state()
+        write_arrangement(str(tmp_path / "pair.ea"), ea)
+        write_state(str(tmp_path / "bell.qs"), v, configuration(2, 2))
+        assert qlab.cli.main(["render", "--in", str(tmp_path / "pair.ea"), "--out", str(tmp_path / "pair.svg")]) == 0
+        assert (tmp_path / "pair.ea").read_bytes() == serialize_arrangement(ea).encode()
+        assert (tmp_path / "bell.qs").read_bytes() == serialize_state(v, configuration(2, 2)).encode()
+        assert (tmp_path / "pair.svg").read_bytes() == qlab.render_arrangement_svg(ea).encode()
 
     def test_refuses_to_serialize_invalid(self):
         alpha = qlab.DenseOperatorTensor(configuration(2), np.diag([0.9, 0.2]))
