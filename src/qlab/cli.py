@@ -125,14 +125,16 @@ def _potentia(args, ea):
 
 def _change_basis(args, ea):
     if args.permute_screens is not None:
-        if args.random_unitary or args.target_shape is not None:
-            other = "--random-unitary" if args.random_unitary else "--target-shape"
+        other = ("--random-unitary" if args.random_unitary else "--target-shape" if args.target_shape is not None
+                 else "--seed" if args.seed is not None else None)
+        if other:
             raise ParseError(f"change-basis: --permute-screens cannot be combined with {other}")
         bt = BasisTransformation.screen_permutation(ea.shape, args.permute_screens)
         mode = [("mode", "permutation")]
     elif args.random_unitary:
-        bt = BasisTransformation.random(ea.shape, args.seed, _target(args.target_shape))
-        mode = [("mode", "random-unitary"), ("seed", args.seed)]
+        seed = 0 if args.seed is None else args.seed
+        bt = BasisTransformation.random(ea.shape, seed, _target(args.target_shape))
+        mode = [("mode", "random-unitary"), ("seed", seed)]
     else:
         raise ParseError("change-basis needs --random-unitary or --permute-screens")
     return _written(args, ea, change_basis(ea, bt), *mode)
@@ -259,7 +261,7 @@ COMMANDS = {
         _arg("--random-unitary", action="store_true", help="draw a seeded Haar unitary"),
         _arg("--permute-screens", type=_index_list, help="source screen order, e.g. 2,1"),
         _arg("--target-shape", type=_index_list, help="target detector counts (with --random-unitary)"),
-        _SEED,
+        _arg("--seed", type=_seed),  # None tells an absent flag apart: --permute-screens refuses a seed
     ], _change_basis),
     "refactor": ("reread the same entries under another factorization", "arrangement", [
         _OUT,

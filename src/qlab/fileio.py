@@ -88,7 +88,6 @@ _ARRANGEMENT = _Format(
 _STATE = _Format("state file", "amplitudes", ("index",), "duplicate amplitude for index {index}")
 _MISSING = object()
 _TAIL = "\n  ]\n}\n"  # canonical text after the last record
-_EMPTY_TAIL = "]\n}\n"  # after the head but its last line break, when there are no records
 _CHUNK_CHARS = 1 << 20  # canonical records are read this much text at a time, which bounds the working memory
 _NUMBER_CHARS = b"0123456789.eE+-"
 _KEEP_NUMBERS = bytes(c if c in _NUMBER_CHARS + b"\n" else 32 for c in range(256))  # all else becomes a space
@@ -321,8 +320,8 @@ def _read_chunk(chunk: bytes, layout: _Layout, flat: np.ndarray, last: int) -> i
 
 
 def _read_canonical(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str | None, np.ndarray] | None:
-    """What _parse returns, for text in the layout _serialize writes (any
-    number of records); None for any other text."""
+    """What _parse returns, for text in the layout _serialize writes; None
+    for any other text, an empty record list included."""
     found = text.isascii() and _HEAD.match(text)
     if not found:
         return None
@@ -335,8 +334,6 @@ def _read_canonical(text: str, fmt: _Format) -> tuple[ScreenConfiguration, str |
         return None
     head = _head(shape, label, fmt)
     dense = np.zeros((shape.dimension,) * len(fmt.index_fields), dtype=np.complex128)
-    if text == head[:-1] + _EMPTY_TAIL:
-        return shape, label, dense
     if not (text.startswith(head) and text.endswith(_TAIL)):
         return None
     layout = _Layout.of(shape, fmt)
@@ -375,7 +372,7 @@ def _serialize(dense: np.ndarray, shape: ScreenConfiguration, label: str | None,
     values = dense.take(flat)
     columns = [map(index_text.__getitem__, axis.tolist()) for axis in np.unravel_index(flat, dense.shape)]
     body = ",\n".join(map(_record_format(fmt).__mod__, zip(*columns, values.real.tolist(), values.imag.tolist())))
-    return head + body + _TAIL if body else head[:-1] + _EMPTY_TAIL
+    return head + body + _TAIL
 
 
 def parse_arrangement(text: str, validate: bool = True) -> ExperimentalArrangement:

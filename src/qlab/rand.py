@@ -33,13 +33,18 @@ def _haar_columns(dim: int, rank: int, rng: int | np.random.Generator) -> np.nda
     Draws the same full Gaussian matrix, so the generator ends in the same
     state, but takes the QR of its first `rank` columns only. Householder QR
     builds column k of Q from the first k columns of the input, so the
-    columns agree with the full route up to rounding.
+    columns agree with the full route up to rounding. Only the kept columns
+    are stored as complex numbers: normal() never returns -0.0, so filling
+    real and imaginary parts gives a + 1j*b bit for bit.
     """
     rng = make_rng(rng)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z[:, :rank])
+    z = np.empty((dim, rank), dtype=np.complex128, order="F")
+    z.real = rng.normal(size=(dim, dim))[:, :rank]
+    z.imag = rng.normal(size=(dim, dim))[:, :rank]
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:

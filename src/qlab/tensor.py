@@ -28,6 +28,13 @@ def _frozen_complex_matrix(entries: object) -> np.ndarray:
     return arr
 
 
+def _fresh(arr: np.ndarray) -> np.ndarray:
+    """A just-computed array that no caller holds, frozen so that
+    _frozen_complex_matrix keeps it without a defensive copy."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _check_capacity(a: int, b: int) -> None:
     """Raise DimensionError if a joint dimension a x b would exceed the cap."""
     if a * b > tolerances.DIMENSION_CAP:
@@ -106,7 +113,7 @@ def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOpera
     """
     _check_capacity(a.dimension, b.dimension)
     shape = ScreenConfiguration(a.shape.detector_counts + b.shape.detector_counts)
-    return DenseOperatorTensor(shape, np.kron(a.entries, b.entries))
+    return DenseOperatorTensor(shape, _fresh(np.kron(a.entries, b.entries)))
 
 
 def partial_trace(t: DenseOperatorTensor, screens: Iterable[int]) -> DenseOperatorTensor:
@@ -134,4 +141,4 @@ def partial_trace(t: DenseOperatorTensor, screens: Iterable[int]) -> DenseOperat
     kept = tuple(c for j, c in enumerate(counts, start=1) if j not in positions)
     new_shape = ScreenConfiguration(kept or (1,))
     m = new_shape.dimension
-    return DenseOperatorTensor(new_shape, np.ascontiguousarray(arr).reshape(m, m))
+    return DenseOperatorTensor(new_shape, _fresh(np.ascontiguousarray(arr).reshape(m, m)))

@@ -33,6 +33,7 @@ from .screens import ScreenConfiguration
 from .tensor import (
     DenseOperatorTensor,
     _check_capacity,
+    _fresh,
     _frozen_complex_matrix,
     _reordered,
     _unit_norm,
@@ -114,7 +115,7 @@ class BasisTransformation:
             src, built = built, np.zeros((source.dimension, source.dimension), dtype=np.complex128)
             built[np.arange(len(src)), src] = 1.0
             src.setflags(write=False)
-        built.setflags(write=False)  # frozen here, so __post_init__ keeps it without a copy
+        _fresh(built)
         bt = cls.__new__(cls)
         names = "source_shape", "target_shape", "matrix", "_source_index", "_unitary"
         for name, value in zip(names, (source, target, built, src, True)):
@@ -143,7 +144,7 @@ def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> Experi
         raise DimensionError(
             f"arrangement configuration {ea.shape} does not match transformation source {bt.source_shape}"
         )
-    return _valid_result(DenseOperatorTensor(bt.target_shape, _conjugate(ea.alpha.entries, bt)), ea.label)
+    return _valid_result(DenseOperatorTensor(bt.target_shape, _fresh(_conjugate(ea.alpha.entries, bt))), ea.label)
 
 
 def refactorize(ea: ExperimentalArrangement, new_shape: ScreenConfiguration) -> ExperimentalArrangement:
@@ -199,7 +200,7 @@ def extend_arrangement(
         if not np.all(np.isfinite(phi)):
             raise NumericError("ancilla amplitudes must be finite")
         _unit_norm(phi, tolerances.STATE_NORM_TOL, "ancilla state norm is {norm!r}, expected 1")
-    ancilla = DenseOperatorTensor(ScreenConfiguration((ancilla_dim,)), np.outer(phi, phi.conj()))
+    ancilla = DenseOperatorTensor(ScreenConfiguration((ancilla_dim,)), _fresh(np.outer(phi, phi.conj())))
     return _valid_result(tensor_product(ea.alpha, ancilla), ea.label)
 
 
@@ -248,6 +249,7 @@ def verify_basis_invariance(
     valuation_residual = float(np.max(np.abs(a.diagonal().real - pulled.diagonal().real)))
     # Identity maps to itself.
     valuation_residual = max(valuation_residual, abs(float(np.trace(a).real) - float(np.trace(b).real)))
+    del moved, b  # the projectors read `pulled` alone, so free N^2 entries before they draw
 
     rng = make_rng(seed)
     for _ in range(extra_projectors):
@@ -256,6 +258,7 @@ def verify_basis_invariance(
         before = float(np.vdot(c, a @ c).real)
         after = float(np.vdot(c, pulled @ c).real)
         valuation_residual = max(valuation_residual, abs(before - after))
+        del c  # freed before the next draw, not when it is replaced
 
     passed = (
         spectrum_residual <= tolerances.SPECTRUM_TOL

@@ -78,7 +78,7 @@ def criterion(name: str):
 def test_pair_reduction_and_extension(tmp_path):
     with criterion("pair arrangement: remove last screen, re-extend, recover exactly"):
         path = tmp_path / "pair.ea"
-        path.write_text(PAIR_FILE_TEXT)
+        path.write_text(PAIR_FILE_TEXT, encoding="utf-8")
         ea = read_arrangement(str(path))
         assert ea.shape.detector_counts == (2, 2, 2, 2)
 
@@ -94,12 +94,12 @@ def test_pair_reduction_and_extension(tmp_path):
 def test_reference_potentia_tables(tmp_path):
     with criterion("reference potentia tables reproduced exactly from files"):
         table_path = tmp_path / "table.ea"
-        table_path.write_text(TABLE_FILE_TEXT)
+        table_path.write_text(TABLE_FILE_TEXT, encoding="utf-8")
         ea = read_arrangement(str(table_path))
         assert np.array_equal(ea.potentia_table(), np.array([0.7, 0.3]))
 
         certain_path = tmp_path / "certain.ea"
-        certain_path.write_text(CERTAIN_FILE_TEXT)
+        certain_path.write_text(CERTAIN_FILE_TEXT, encoding="utf-8")
         certain = read_arrangement(str(certain_path))
         assert np.array_equal(
             certain.potentia_table(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])

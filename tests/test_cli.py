@@ -65,7 +65,8 @@ class TestValidate:
         path.write_text(
             '{"version": 1, "factorization": [2], "entries": ['
             '{"bra": [1], "ket": [1], "re": 0.9},'
-            '{"bra": [2], "ket": [2], "re": 0.2}]}'
+            '{"bra": [2], "ket": [2], "re": 0.2}]}',
+            encoding="utf-8",
         )
         rc, out, _ = run(capsys, "validate", "--in", str(path))
         report = as_dict(out)
@@ -87,7 +88,7 @@ def _huge_entries_file(tmp_path, counts, records):
     entries = ", ".join(
         f'{{"bra": [{i}], "ket": [{j}], "re": {re}, "im": {im}}}' for (i, j), (re, im) in records.items()
     )
-    path.write_text(f'{{"version": 1, "factorization": {counts}, "entries": [{entries}]}}')
+    path.write_text(f'{{"version": 1, "factorization": {counts}, "entries": [{entries}]}}', encoding="utf-8")
     return str(path)
 
 
@@ -170,6 +171,18 @@ class TestTransformCommands:
         before = np.linalg.eigvalsh(original.alpha.entries)
         after = np.linalg.eigvalsh(moved.alpha.entries)
         assert np.max(np.abs(before - after)) <= 1e-9
+
+    def test_change_basis_random_unitary_seed_defaults_to_zero(self, capsys, pair_file, tmp_path):
+        runs = []
+        for seed in ([], ["--seed", "0"]):
+            out_path = tmp_path / f"moved{len(seed)}.ea"
+            rc, out, _ = run(
+                capsys, "change-basis", "--in", pair_file, "--out", str(out_path), "--random-unitary", *seed,
+            )
+            assert rc == 0
+            assert as_dict(out)["seed"] == "0"
+            runs.append(out_path.read_bytes())
+        assert runs[0] == runs[1]
 
     def test_change_basis_permutation(self, capsys, pair_file, tmp_path):
         out_path = str(tmp_path / "permuted.ea")
@@ -258,10 +271,19 @@ class TestTransformCommands:
             "change-basis: --permute-screens cannot be combined with --target-shape",
         ),
         (
+            ["change-basis", "--permute-screens", "2,1,3,4", "--seed", "5"],
+            "change-basis: --permute-screens cannot be combined with --seed",
+        ),
+        (
+            ["change-basis", "--permute-screens", "2,1,3,4", "--seed", "0"],
+            "change-basis: --permute-screens cannot be combined with --seed",
+        ),
+        (
             ["extend", "--ancilla-dim", "2", "--ancilla-state", "phi.qs", "--ancilla-basis", "2"],
             "extend: --ancilla-state cannot be combined with --ancilla-basis",
         ),
-    ], ids=["permute-and-random-unitary", "permute-and-target-shape", "state-and-basis"])
+    ], ids=["permute-and-random-unitary", "permute-and-target-shape", "permute-and-seed", "permute-and-seed-zero",
+            "state-and-basis"])
     def test_contradictory_flags_are_parse_errors(self, capsys, pair_file, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         write_state("phi.qs", np.array([0.0, 1.0]), configuration(2))
@@ -423,7 +445,7 @@ class TestErrorPaths:
 
     def test_syntax_error(self, capsys, tmp_path):
         path = tmp_path / "broken.ea"
-        path.write_text("{nope}")
+        path.write_text("{nope}", encoding="utf-8")
         rc, _, err = run(capsys, "validate", "--in", str(path))
         assert rc == 2
         assert "error[parse]" in err
@@ -438,7 +460,8 @@ class TestErrorPaths:
     def test_invalid_arrangement_blocks_analysis(self, capsys, tmp_path):
         path = tmp_path / "bad.ea"
         path.write_text(
-            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 0.9}]}'
+            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 0.9}]}',
+            encoding="utf-8",
         )
         rc, _, err = run(capsys, "potentia", "--in", str(path))
         assert rc == 3
@@ -447,7 +470,8 @@ class TestErrorPaths:
     def test_out_of_range_index(self, capsys, tmp_path):
         path = tmp_path / "oob.ea"
         path.write_text(
-            '{"version": 1, "factorization": [2], "entries": [{"bra": [3], "ket": [1], "re": 1.0}]}'
+            '{"version": 1, "factorization": [2], "entries": [{"bra": [3], "ket": [1], "re": 1.0}]}',
+            encoding="utf-8",
         )
         rc, _, err = run(capsys, "validate", "--in", str(path))
         assert rc == 4
@@ -456,7 +480,8 @@ class TestErrorPaths:
     def test_overflow_value(self, capsys, tmp_path):
         path = tmp_path / "huge.ea"
         path.write_text(
-            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 1e999}]}'
+            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 1e999}]}',
+            encoding="utf-8",
         )
         rc, _, err = run(capsys, "validate", "--in", str(path))
         assert rc == 5
@@ -475,7 +500,8 @@ class TestErrorPaths:
     def test_integer_too_large_for_a_float(self, capsys, tmp_path):
         path = tmp_path / "huge.ea"
         path.write_text(
-            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 1%s}]}' % ("0" * 400)
+            '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 1%s}]}' % ("0" * 400),
+            encoding="utf-8",
         )
         rc, _, err = run(capsys, "validate", "--in", str(path))
         assert rc == 2
@@ -574,7 +600,8 @@ def argv_files(tmp_path, monkeypatch):
     write_arrangement("pair.ea", four_screen_pair())
     write_arrangement("table.ea", two_detector_table())
     (tmp_path / "bad.ea").write_text(
-        '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 0.9}]}'
+        '{"version": 1, "factorization": [2], "entries": [{"bra": [1], "ket": [1], "re": 0.9}]}',
+        encoding="utf-8",
     )
     write_state("bell.qs", bell_state(), configuration(2, 2))
     write_state("w.qs", w_state(), configuration(2, 2, 2))
@@ -698,7 +725,7 @@ def test_any_file_bytes_exit_with_a_documented_code(capsys, tmp_path, monkeypatc
 def test_module_entry_point(pair_file):
     proc = subprocess.run(
         [sys.executable, "-m", "qlab", "validate", "--in", pair_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "valid=true" in proc.stdout

@@ -1,0 +1,134 @@
+"""The dense layer allocates nothing of full size that it does not return.
+
+The Hermiticity residual is taken over row blocks, Haar draws store only
+their kept columns as complex numbers, fresh results are frozen where they
+are made so that DenseOperatorTensor keeps them without a copy, and the
+basis-invariance verifier frees what its projectors do not read. These tests
+pin that every value stays bit-identical to the full-size expressions, and
+bound the traced peak at N = 512 and 1024 (numpy reports its arrays to
+tracemalloc; LAPACK's own work space is not counted).
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import qlab
+from qlab import BasisTransformation, DenseOperatorTensor, configuration
+from qlab import arrangement
+from qlab.rand import _haar_columns, make_rng
+
+
+def traced_peak(call):
+    """What `call` returns, and its traced peak in bytes beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def matrix(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "huge":  # each difference overflows to inf or is exactly zero; the diagonal overflows
+        return rng.choice([-1.7e308, 1.7e308], (n, n)) + 1j * rng.choice([-1.7e308, 1.7e308], (n, n))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a if kind == "random" else a + a.conj().T
+
+
+@pytest.mark.parametrize("block", [arrangement._HERMITIAN_BLOCK, 64 * 64, 1], ids=["block", "64x64", "rows"])
+@pytest.mark.parametrize("kind", ["random", "hermitian", "huge"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 257, 1024])
+def test_blocked_hermiticity_residual_is_the_full_maximum_bit_for_bit(n, kind, block):
+    a = matrix(n, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = float(np.max(np.abs(a - a.conj().T)))
+    with mock.patch.object(arrangement, "_HERMITIAN_BLOCK", block):
+        check = arrangement._structural_checks(a)[0]
+    assert check.name == "hermitian"
+    assert check.residual.hex() == full.hex()
+    assert (check.residual == 0.0) == (kind == "hermitian")
+    assert (check.residual == np.inf) == (kind == "huge")
+
+
+def full_draw_columns(dim, rank, rng):
+    """The Haar columns as drawn before: the full complex Gaussian, then the QR of its first columns."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z[:, :rank])
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (7, 3), (64, 64), (65, 1), (200, 199), (200, 200)])
+def test_haar_columns_match_the_full_draw_bit_for_bit(dim, rank):
+    ours, theirs = make_rng(dim + rank), make_rng(dim + rank)
+    cols = _haar_columns(dim, rank, ours)
+    assert cols.shape == (dim, rank)
+    assert cols.tobytes() == full_draw_columns(dim, rank, theirs).tobytes()
+    assert ours.normal(size=4).tobytes() == theirs.normal(size=4).tobytes()  # the same draws were made
+    if rank == dim:
+        assert qlab.random_unitary(dim, 5).tobytes() == full_draw_columns(dim, dim, make_rng(5)).tobytes()
+
+
+N = 1024
+FULL = N * N * 16  # bytes of one N x N complex matrix
+
+
+@pytest.fixture(scope="module")
+def large():
+    shape = configuration(*[2] * 10)
+    return shape, qlab.random_arrangement(shape, 3, terms=2)
+
+
+def test_structural_checks_allocate_one_block_at_a_time(large):
+    a = large[1].alpha.entries
+    checks, peak = traced_peak(lambda: arrangement._structural_checks(a))
+    assert all(check.passed for check in checks)
+    assert peak <= 4 * 2**20  # a full-size residual took 32 MiB
+
+
+def test_random_arrangement_copies_no_term(large):
+    shape, ea = large
+    built, peak = traced_peak(lambda: qlab.random_arrangement(shape, 3, terms=2))
+    assert built.alpha.entries.tobytes() == ea.alpha.entries.tobytes()
+    assert peak <= 4.5 * FULL  # two terms, the sum and one scaled term; copies made it 6
+
+
+def test_change_basis_keeps_its_fresh_result(large):
+    shape, ea = large
+    bt = BasisTransformation.screen_permutation(shape, tuple(range(10, 0, -1)))
+    moved, peak = traced_peak(lambda: qlab.change_basis(ea, bt))
+    assert moved.alpha.entries.tobytes() == ea.alpha.entries[np.ix_(bt._source_index, bt._source_index)].tobytes()
+    assert peak <= 1.25 * FULL
+
+
+@pytest.mark.parametrize("build, bound", [("random", 5.25), ("screen_permutation", 4.5)])
+def test_basis_invariance_frees_what_its_projectors_do_not_read(build, bound):
+    shape = configuration(*[2] * 9)
+    n = shape.dimension
+    ea = qlab.random_arrangement(shape, 7, terms=2)
+    bt = (BasisTransformation.random(shape, 8) if build == "random"
+          else BasisTransformation.screen_permutation(shape, tuple(range(9, 0, -1))))
+    report, peak = traced_peak(lambda: qlab.verify_basis_invariance(ea, bt, seed=9))
+    assert report.passed
+    assert peak <= bound * n * n * 16  # both took 6 while the moved copy stayed live
+
+
+def test_a_callers_array_is_copied_and_a_fresh_result_is_kept():
+    shape = configuration(2)
+    mine = np.array([[0.25, 0.5j], [-0.5j, 0.75]])
+    for given in (mine, mine[:, :]):  # the array itself, and a view of it
+        t = DenseOperatorTensor(shape, given)
+        before = t.entries.tobytes()
+        given[0, 0] = 9.0
+        assert t.entries.tobytes() == before and not t.entries.flags.writeable
+        mine[0, 0] = 0.25
+    fresh = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=np.complex128)
+    fresh.setflags(write=False)
+    assert DenseOperatorTensor(shape, fresh).entries is fresh
+    ea = qlab.build_from_state_vector(np.array([0.6, 0.8j]), shape)
+    assert not ea.alpha.entries.flags.writeable

@@ -25,7 +25,14 @@ from qlab import (
     write_state,
 )
 
-from helpers import bell_state, four_screen_pair, loop_parse_arrangement, two_detector_table
+from helpers import (
+    bell_state,
+    four_screen_pair,
+    loop_parse_arrangement,
+    loop_serialize_arrangement,
+    loop_serialize_state,
+    two_detector_table,
+)
 
 PAIR_TEXT = """{
   "version": 1,
@@ -226,6 +233,24 @@ class TestArrangementErrors:
         assert fileio._read_canonical(bad_label, fileio._ARRANGEMENT) is None
         with pytest.raises(ParseError, match=r"^arrangement file: invalid syntax at line 4, column 13: Invalid \\escape$"):
             parse_arrangement(bad_label)
+
+    @pytest.mark.parametrize("label", [None, "empty"])
+    @pytest.mark.parametrize("kind", ["ea", "qs"])
+    def test_empty_record_list_takes_the_json_path(self, kind, label):
+        # no writer emits an empty list: a valid arrangement or state has a nonzero entry
+        fileio, shape = qlab.fileio, configuration(2, 3)
+        if kind == "ea":
+            fmt = fileio._ARRANGEMENT
+            text = loop_serialize_arrangement(qlab.ExperimentalArrangement(
+                qlab.DenseOperatorTensor(shape, np.zeros((6, 6))), label))
+        else:
+            fmt, text = fileio._STATE, loop_serialize_state(np.zeros(6), shape, label)
+        assert text.endswith(f'  "{fmt.records}": []\n}}\n')
+        assert fileio._read_canonical(text, fmt) is None
+        parsed_shape, parsed_label, dense = fileio._parse(text, fmt)
+        assert (parsed_shape, parsed_label) == (shape, label)
+        assert dense.dtype == np.complex128 and dense.shape == (6,) * len(fmt.index_fields)
+        assert not dense.any()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
