@@ -20,7 +20,8 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement
 from .errors import DimensionError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _reordered, _unit_norm, partial_trace
+from .tensor import DenseOperatorTensor, _fresh, _unit_norm, partial_trace
+from .transforms import BasisTransformation, _conjugate
 
 MAX_PROFILE_SCREENS = 12
 
@@ -158,12 +159,11 @@ def is_product_across(ea: ExperimentalArrangement, cut: Bipartition) -> tuple[bo
     product of its marginals.
     """
     cut.check_against(ea.shape)
-    shape, src = _reordered(ea.shape, cut.left + cut.right)
-    # an exact move of entries by index, no matrix product
-    arranged = DenseOperatorTensor(shape, ea.alpha.entries[np.ix_(src, src)])
+    bt = BasisTransformation.screen_permutation(ea.shape, cut.left + cut.right)
+    arranged = DenseOperatorTensor(bt.target_shape, _fresh(_conjugate(ea.alpha.entries, bt)))
     k = len(cut.left)
-    left_marginal = partial_trace(arranged, range(k + 1, shape.num_screens + 1))
+    left_marginal = partial_trace(arranged, range(k + 1, ea.shape.num_screens + 1))
     right_marginal = partial_trace(arranged, range(1, k + 1))
     product = np.kron(left_marginal.entries, right_marginal.entries)
-    residual = float(np.max(np.abs(arranged.entries - product)))
+    residual = float(np.abs(np.subtract(arranged.entries, product, out=product)).max())
     return residual <= tolerances.PRODUCT_TOL, residual

@@ -43,14 +43,6 @@ def _check_capacity(a: int, b: int) -> None:
         )
 
 
-def _reordered(shape: ScreenConfiguration, order: Sequence[int]) -> tuple[ScreenConfiguration, np.ndarray]:
-    """Screens reordered so target screen j is source screen order[j-1] (a
-    permutation of 1..n), and the source flat position of each target one."""
-    axes = [int(p) - 1 for p in order]
-    target = ScreenConfiguration(tuple(shape.detector_counts[a] for a in axes))
-    return target, np.arange(shape.dimension).reshape(shape.detector_counts).transpose(axes).ravel()
-
-
 def _unit_norm(v: np.ndarray, tol: float, message: str) -> float:
     """Norm of v, or ValidationError when it is not within tol of 1 (NaN never is).
 

@@ -1,10 +1,10 @@
 """Basis changes, refactorizations, and screen insertion or removal.
 
-A basis transformation is a unitary matrix read against the fixed flattening
-of a source and a target configuration. The two configurations may factorize
-the same total dimension differently; only the product has to agree. Entry
-transformation is one conjugation under that flattening, computed in one
-place, by index moves when the matrix permutes:
+A basis transformation is a unitary matrix, proven unitary once, read against
+the fixed flattening of a source and a target configuration, which may
+factorize the same total dimension differently. Entry transformation is one
+conjugation, computed in one place; a screen permutation moves entries by
+index and builds its matrix only when it is read:
 
     transformed = matrix @ alpha @ matrix^dagger
 
@@ -35,46 +35,60 @@ from .tensor import (
     _check_capacity,
     _fresh,
     _frozen_complex_matrix,
-    _reordered,
     _unit_norm,
     partial_trace,
     tensor_product,
 )
 
 
+def _reordered(shape: ScreenConfiguration, order: Sequence[int]) -> tuple[ScreenConfiguration, np.ndarray]:
+    """Screens reordered so target screen j is source screen order[j-1] (a
+    permutation of 1..n), and the source flat position of each target one."""
+    axes = [int(p) - 1 for p in order]
+    target = ScreenConfiguration(tuple(shape.detector_counts[a] for a in axes))
+    return target, np.arange(shape.dimension).reshape(shape.detector_counts).transpose(axes).ravel()
+
+
+def _same_dimension(source: ScreenConfiguration, target: ScreenConfiguration) -> None:
+    if source.dimension != target.dimension:
+        raise DimensionError(f"source dimension {source.dimension} differs from target dimension {target.dimension}")
+
+
 @dataclass(frozen=True, eq=False)
 class BasisTransformation:
     """Unitary coefficients mapping source description to target description.
 
-    The constructor proves the matrix unitary by an N^3 check. Haar draws,
-    screen permutations and their inverses are unitary by construction;
-    _unitary_by_construction builds them without that check. A screen
-    permutation, the identity included, also keeps `_source_index`, the
-    source flat position of each target one: row i of its matrix has its 1
-    in column _source_index[i], and entries move by index, not by products.
+    It is proven unitary once: the constructor checks a caller's matrix in N^3
+    time, and Haar draws, screen permutations and their inverses are built
+    unitary. A permutation, the identity included, holds only _source_index,
+    the source flat position of each target one; entries move by index, and
+    `matrix` (row i has its 1 in column _source_index[i]) is built on first read.
     """
 
     source_shape: ScreenConfiguration
     target_shape: ScreenConfiguration
     matrix: np.ndarray
     _source_index: np.ndarray | None = field(default=None, init=False, repr=False)
-    _unitary: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.source_shape.dimension != self.target_shape.dimension:
-            raise DimensionError(
-                f"source dimension {self.source_shape.dimension} differs from "
-                f"target dimension {self.target_shape.dimension}"
-            )
+        _same_dimension(self.source_shape, self.target_shape)
         mat = _frozen_complex_matrix(np.asarray(self.matrix, dtype=np.complex128))
         n = self.source_shape.dimension
         if mat.shape != (n, n):
             raise DimensionError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
-        if not self._unitary:
-            dev = float(np.max(np.abs(mat @ mat.conj().T - np.eye(n))))
-            if dev > tolerances.UNITARITY_TOL:
-                raise NumericError(f"transformation matrix is not unitary: max deviation {dev:.3e}")
+        dev = float(np.max(np.abs(mat @ mat.conj().T - np.eye(n))))
+        if dev > tolerances.UNITARITY_TOL:
+            raise NumericError(f"transformation matrix is not unitary: max deviation {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        src = self._source_index
+        if name != "matrix" or src is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = np.zeros((len(src), len(src)), dtype=np.complex128)
+        mat[np.arange(len(src)), src] = 1.0
+        object.__setattr__(self, "matrix", _fresh(mat))
+        return mat
 
     @classmethod
     def identity(
@@ -109,25 +123,18 @@ class BasisTransformation:
     def _unitary_by_construction(
         cls, source: ScreenConfiguration, target: ScreenConfiguration, built: np.ndarray
     ) -> "BasisTransformation":
-        """The constructor's result, minus its N^3 check, for a Haar matrix or a permutation's source index."""
-        src = None
-        if built.ndim == 1:
-            src, built = built, np.zeros((source.dimension, source.dimension), dtype=np.complex128)
-            built[np.arange(len(src)), src] = 1.0
-            src.setflags(write=False)
-        _fresh(built)
+        """The constructor's result, minus its N^3 check, for a Haar matrix or a
+        permutation's source index (1-D), frozen in place."""
+        _same_dimension(source, target)
         bt = cls.__new__(cls)
-        names = "source_shape", "target_shape", "matrix", "_source_index", "_unitary"
-        for name, value in zip(names, (source, target, built, src, True)):
-            object.__setattr__(bt, name, value)
-        bt.__post_init__()
+        kept = "_source_index" if built.ndim == 1 else "matrix"
+        vars(bt).update({"source_shape": source, "target_shape": target, kept: _fresh(built)})
         return bt
 
     def inverse(self) -> "BasisTransformation":
-        if self._source_index is not None:
-            return self._unitary_by_construction(self.target_shape, self.source_shape, np.argsort(self._source_index))
-        build = self._unitary_by_construction if self._unitary else BasisTransformation
-        return build(self.target_shape, self.source_shape, self.matrix.conj().T)
+        src = self._source_index
+        built = self.matrix.conj().T if src is None else np.argsort(src)
+        return self._unitary_by_construction(self.target_shape, self.source_shape, built)
 
 
 def _conjugate(entries: np.ndarray, bt: BasisTransformation) -> np.ndarray:

@@ -3,10 +3,11 @@
 The Hermiticity residual is taken over row blocks, Haar draws store only
 their kept columns as complex numbers, fresh results are frozen where they
 are made so that DenseOperatorTensor keeps them without a copy, and the
-basis-invariance verifier frees what its projectors do not read. These tests
-pin that every value stays bit-identical to the full-size expressions, and
-bound the traced peak at N = 512 and 1024 (numpy reports its arrays to
-tracemalloc; LAPACK's own work space is not counted).
+basis-invariance verifier frees what its projectors do not read; the product
+test subtracts into its product in place. These tests pin that every value
+stays bit-identical to the full-size expressions, and bound the traced peak
+at N = 512 and 1024 (numpy reports its arrays to tracemalloc; LAPACK's own
+work space is not counted).
 """
 
 import tracemalloc
@@ -104,6 +105,16 @@ def test_change_basis_keeps_its_fresh_result(large):
     moved, peak = traced_peak(lambda: qlab.change_basis(ea, bt))
     assert moved.alpha.entries.tobytes() == ea.alpha.entries[np.ix_(bt._source_index, bt._source_index)].tobytes()
     assert peak <= 1.25 * FULL
+
+
+def test_product_test_keeps_its_moved_array_and_subtracts_in_place(large):
+    shape, ea = large
+    cut = qlab.Bipartition.split(range(1, 10), 10)  # the last screen alone, as for an adjoined ancilla
+    (product, residual), peak = traced_peak(lambda: qlab.is_product_across(ea, cut))
+    left, right = qlab.remove_screens(ea, [10]), qlab.remove_screens(ea, range(1, 10))
+    full = float(np.max(np.abs(ea.alpha.entries - np.kron(left.alpha.entries, right.alpha.entries))))
+    assert residual.hex() == full.hex() and not product
+    assert peak <= 2.875 * FULL  # a copy of the moved array and a separate difference took 3.75
 
 
 @pytest.mark.parametrize("build, bound", [("random", 5.25), ("screen_permutation", 4.5)])

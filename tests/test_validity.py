@@ -274,16 +274,19 @@ def test_failed_gate_keeps_every_message(matrix, checks):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
 def test_haar_draws_are_unitary_without_the_check(n):
-    bt = BasisTransformation.random(configuration(n), n)
+    shape = configuration(n)
+    bt = BasisTransformation.random(shape, n)
     u = bt.matrix
     assert float(np.max(np.abs(u @ u.conj().T - np.eye(n)))) <= qlab.tolerances.UNITARITY_TOL
     assert np.array_equal(u, qlab.random_unitary(n, n))
-    back = bt.inverse()
-    assert back._unitary and np.array_equal(back.matrix, u.conj().T)
-    caller = BasisTransformation(configuration(n), configuration(n), u)
-    assert not caller._unitary and not caller.inverse()._unitary
+    caller = BasisTransformation(shape, shape, u)
+    for made in (bt, caller):  # a drawn and a checked matrix are inverted the same way
+        assert made.inverse().matrix.tobytes() == u.conj().T.tobytes()
+    ea = qlab.random_arrangement(shape, n + 1, terms=2)
+    back = qlab.change_basis(qlab.change_basis(ea, bt), bt.inverse())
+    assert float(np.max(np.abs(back.alpha.entries - ea.alpha.entries))) <= qlab.tolerances.ROUNDTRIP_TOL
     with pytest.raises(qlab.NumericError, match="not unitary"):
-        BasisTransformation(configuration(n), configuration(n), 1.5 * u)
+        BasisTransformation(shape, shape, 1.5 * u)
     for private in ("_unitary", "_source_index"):  # the check cannot be skipped from the constructor
         with pytest.raises(TypeError):
-            BasisTransformation(configuration(n), configuration(n), 1.5 * u, **{private: True})
+            BasisTransformation(shape, shape, u, **{private: True})
