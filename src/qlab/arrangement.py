@@ -19,7 +19,7 @@ import numpy as np
 from . import tolerances
 from .errors import DimensionError, NumericError, ValidationError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _fresh, _frozen_complex_matrix, _unit_norm
+from .tensor import DenseOperatorTensor, _fresh, _unchecked, _unit_norm
 
 SAMPLER_ALGORITHM = "numpy-pcg64-multinomial"
 # outside XML 1.0 Char (section 2.2): C0 controls but tab, LF, CR; surrogates; U+FFFE, U+FFFF
@@ -51,7 +51,7 @@ class Power:
         n = self.shape.dimension
         m = np.zeros((n, n), dtype=np.complex128)
         m[self.flat, self.flat] = 1.0
-        return GeneralProjector(DenseOperatorTensor(self.shape, m))
+        return _unchecked(GeneralProjector, matrix=DenseOperatorTensor(self.shape, _fresh(m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,24 +275,23 @@ class GeneralProjector:
 
     def __post_init__(self) -> None:
         m = self.matrix.entries
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        idem = float(np.max(np.abs(m @ m - m)))
-        worst = max(herm, idem)
+        squared = m @ m
+        worst = max(_hermiticity_residual(m), float(np.max(np.abs(np.subtract(squared, m, out=squared)))))
         if worst > tolerances.PROJECTOR_TOL:
             raise NumericError(f"not a projector: max deviation {worst:.3e}")
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, shape: ScreenConfiguration | None = None) -> "GeneralProjector":
-        arr = _frozen_complex_matrix(np.asarray(m, dtype=np.complex128))
         if shape is None:
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionError(f"projector matrix must be square, got {arr.shape}")
-            shape = ScreenConfiguration((arr.shape[0],))
-        return cls(DenseOperatorTensor(shape, arr))
+            dims = np.shape(m)
+            if len(dims) != 2 or dims[0] != dims[1]:
+                raise DimensionError(f"projector matrix must be square, got {dims}")
+            shape = ScreenConfiguration((dims[0],))
+        return cls(DenseOperatorTensor(shape, m))
 
     @classmethod
     def identity(cls, shape: ScreenConfiguration) -> "GeneralProjector":
-        return cls(DenseOperatorTensor(shape, np.eye(shape.dimension, dtype=np.complex128)))
+        return _unchecked(cls, matrix=DenseOperatorTensor(shape, _fresh(np.eye(shape.dimension, dtype=np.complex128))))
 
     @property
     def dimension(self) -> int:

@@ -6,6 +6,10 @@ side paired by nonnegative coefficients. Rank one across a cut means the two
 sides are uncorrelated; rank one across every sequential cut means the state
 is a product of single-screen factors. For arrangements (pure or mixed) a
 direct marginal comparison tests product structure across a cut.
+
+A state is proven once, where it comes in (length and unit norm, then the
+cut). One kernel does the arithmetic of every routine: a rank profile runs it
+on each cut, a separability peel on each screen split off the remainder.
 """
 
 from __future__ import annotations
@@ -74,17 +78,24 @@ class SchmidtResult:
 def _as_state(state: Sequence[complex] | np.ndarray, shape: ScreenConfiguration) -> np.ndarray:
     v = np.asarray(state, dtype=np.complex128).reshape(-1)
     if v.size != shape.dimension:
-        raise DimensionError(
-            f"state has length {v.size}, expected {shape.dimension} for {shape}"
-        )
+        raise DimensionError(f"state has length {v.size}, expected {shape.dimension} for {shape}")
     _unit_norm(v, tolerances.STATE_NORM_TOL, "state norm is {norm!r}, expected 1")
     return v
 
 
+def _schmidt(v: np.ndarray, counts: Sequence[int], cut: Bipartition) -> SchmidtResult:
+    """Schmidt form of a proven state across a proven cut: one reorder, one SVD, one rank rule."""
+    permuted = v.reshape(counts).transpose([p - 1 for p in cut.left + cut.right])
+    n_left = int(np.prod([counts[p - 1] for p in cut.left]))
+    u, s, vh = np.linalg.svd(permuted.reshape(n_left, -1), full_matrices=False)
+    return SchmidtResult(s, u, vh.T, int(np.sum(s > tolerances.SCHMIDT_RANK_TOL)))
+
+
+_PEEL = Bipartition((1,), (2,))  # the first screen against the rest, read as one screen
+
+
 def schmidt_decompose(
-    state: Sequence[complex] | np.ndarray,
-    shape: ScreenConfiguration,
-    cut: Bipartition,
+    state: Sequence[complex] | np.ndarray, shape: ScreenConfiguration, cut: Bipartition
 ) -> SchmidtResult:
     """Schmidt form of a normalized state across a cut.
 
@@ -95,12 +106,7 @@ def schmidt_decompose(
     """
     v = _as_state(state, shape)
     cut.check_against(shape)
-    counts = shape.detector_counts
-    permuted = v.reshape(counts).transpose([p - 1 for p in cut.left + cut.right])
-    n_left = int(np.prod([counts[p - 1] for p in cut.left]))
-    u, s, vh = np.linalg.svd(permuted.reshape(n_left, -1), full_matrices=False)
-    rank = int(np.sum(s > tolerances.SCHMIDT_RANK_TOL))
-    return SchmidtResult(s, u, vh.T, rank)
+    return _schmidt(v, shape.detector_counts, cut)
 
 
 def schmidt_rank_profile(
@@ -117,13 +123,9 @@ def schmidt_rank_profile(
             f"{n} screens would need {2 ** (n - 1) - 1} cuts; cap is {MAX_PROFILE_SCREENS} screens"
         )
     v = _as_state(state, shape)
-    profile: dict[Bipartition, int] = {}
-    rest = list(range(2, n + 1))
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            cut = Bipartition.split((1,) + extra, n)
-            profile[cut] = schmidt_decompose(v, shape, cut).rank
-    return profile
+    extras = (extra for r in range(n - 1) for extra in itertools.combinations(range(2, n + 1), r))
+    cuts = (Bipartition.split((1,) + extra, n) for extra in extras)
+    return {cut: _schmidt(v, shape.detector_counts, cut).rank for cut in cuts}
 
 
 def is_fully_separable_pure(
@@ -132,23 +134,18 @@ def is_fully_separable_pure(
     """Peel single screens left to right; separable iff every peel has rank one.
 
     On success returns one normalized factor per screen whose chained tensor
-    product reconstructs the state.
+    product reconstructs the state. Each peel is one SVD of the remainder as
+    a (count, rest) matrix, whose right vector is a unit state by construction.
     """
     v = _as_state(state, shape)
     factors: list[np.ndarray] = []
-    current = v
-    remaining = shape.detector_counts
-    while len(remaining) > 1:
-        sub_shape = ScreenConfiguration(remaining)
-        cut = Bipartition.split((1,), len(remaining))
-        result = schmidt_decompose(current, sub_shape, cut)
-        if result.rank != 1:
+    for count in shape.detector_counts[:-1]:
+        peeled = _schmidt(v, (count, -1), _PEEL)
+        if peeled.rank != 1:
             return False, None
-        factors.append(result.left_vectors[:, 0])
-        current = result.right_vectors[:, 0]
-        remaining = remaining[1:]
-    factors.append(current)
-    return True, factors
+        factors.append(peeled.left_vectors[:, 0])
+        v = peeled.right_vectors[:, 0]
+    return True, factors + [v]
 
 
 def is_product_across(ea: ExperimentalArrangement, cut: Bipartition) -> tuple[bool, float]:

@@ -67,7 +67,7 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement, _failed_checks, _label_fault, require_valid
 from .errors import DimensionError, ParseError, ValidationError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _unit_norm
+from .tensor import DenseOperatorTensor, _fresh, _unit_norm
 
 FORMAT_VERSION = 1
 
@@ -380,7 +380,7 @@ def parse_arrangement(text: str, validate: bool = True) -> ExperimentalArrangeme
     but the arrangement may violate trace or positivity (useful for
     inspecting candidate files)."""
     shape, label, matrix = _parse(text, _ARRANGEMENT)
-    ea = ExperimentalArrangement(DenseOperatorTensor(shape, matrix), label)
+    ea = ExperimentalArrangement(DenseOperatorTensor(shape, _fresh(matrix)), label)
     if validate:
         require_valid(ea)
     return ea

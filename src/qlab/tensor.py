@@ -20,19 +20,32 @@ from .screens import ScreenConfiguration
 
 
 def _frozen_complex_matrix(entries: object) -> np.ndarray:
+    """entries read-only, copied unless neither it nor any array it views can be written."""
     arr = np.asarray(entries, dtype=np.complex128)
-    if arr.flags.writeable:
-        if arr is entries or arr.base is not None:
-            arr = arr.copy()
-        arr.setflags(write=False)
+    owner = arr if arr is entries or arr.base is not None else None  # None: a fresh conversion
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
     return arr
 
 
 def _fresh(arr: np.ndarray) -> np.ndarray:
-    """A just-computed array that no caller holds, frozen so that
-    _frozen_complex_matrix keeps it without a defensive copy."""
-    arr.setflags(write=False)
+    """A just-computed array that no caller holds, frozen together with every
+    array it views so that _frozen_complex_matrix keeps it without a copy."""
+    view = arr
+    while isinstance(view, np.ndarray):
+        view.setflags(write=False)
+        view = view.base
     return arr
+
+
+def _unchecked(cls: type, **fields: object) -> object:
+    """cls(**fields) without its checks, for a value that is valid by construction."""
+    obj = cls.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _check_capacity(a: int, b: int) -> None:

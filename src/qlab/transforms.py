@@ -35,6 +35,7 @@ from .tensor import (
     _check_capacity,
     _fresh,
     _frozen_complex_matrix,
+    _unchecked,
     _unit_norm,
     partial_trace,
     tensor_product,
@@ -67,12 +68,12 @@ class BasisTransformation:
 
     source_shape: ScreenConfiguration
     target_shape: ScreenConfiguration
-    matrix: np.ndarray
+    matrix: np.ndarray = field(repr=False)
     _source_index: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _same_dimension(self.source_shape, self.target_shape)
-        mat = _frozen_complex_matrix(np.asarray(self.matrix, dtype=np.complex128))
+        mat = _frozen_complex_matrix(self.matrix)
         n = self.source_shape.dimension
         if mat.shape != (n, n):
             raise DimensionError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
@@ -126,10 +127,8 @@ class BasisTransformation:
         """The constructor's result, minus its N^3 check, for a Haar matrix or a
         permutation's source index (1-D), frozen in place."""
         _same_dimension(source, target)
-        bt = cls.__new__(cls)
         kept = "_source_index" if built.ndim == 1 else "matrix"
-        vars(bt).update({"source_shape": source, "target_shape": target, kept: _fresh(built)})
-        return bt
+        return _unchecked(cls, source_shape=source, target_shape=target, **{kept: _fresh(built)})
 
     def inverse(self) -> "BasisTransformation":
         src = self._source_index

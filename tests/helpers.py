@@ -7,6 +7,7 @@ library paths, so tests can compare the two routes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -184,6 +185,36 @@ def loop_is_product_across(ea: qlab.ExperimentalArrangement, cut: qlab.Bipartiti
     product = np.kron(left.alpha.entries, right.alpha.entries)
     residual = float(np.max(np.abs(arranged.alpha.entries - product)))
     return residual <= PRODUCT_TOL, residual
+
+
+def loop_schmidt_rank_profile(state: np.ndarray, shape: qlab.ScreenConfiguration) -> dict[qlab.Bipartition, int]:
+    """Rank profile by the public route: one schmidt_decompose per cut, each
+    proving the state and the cut again."""
+    n = shape.num_screens
+    profile = {}
+    for r in range(n - 1):
+        for extra in itertools.combinations(range(2, n + 1), r):
+            cut = qlab.Bipartition.split((1,) + extra, n)
+            profile[cut] = qlab.schmidt_decompose(state, shape, cut).rank
+    return profile
+
+
+def loop_is_fully_separable_pure(state: np.ndarray, shape: qlab.ScreenConfiguration):
+    """Separability by the public route: per peel a sub-configuration, a
+    (1,)|rest cut and a schmidt_decompose of the remainder."""
+    factors = []
+    current = np.asarray(state, dtype=np.complex128).reshape(-1)
+    remaining = shape.detector_counts
+    while len(remaining) > 1:
+        cut = qlab.Bipartition.split((1,), len(remaining))
+        result = qlab.schmidt_decompose(current, qlab.ScreenConfiguration(remaining), cut)
+        if result.rank != 1:
+            return False, None
+        factors.append(result.left_vectors[:, 0])
+        current = result.right_vectors[:, 0]
+        remaining = remaining[1:]
+    factors.append(current)
+    return True, factors
 
 
 def loop_random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

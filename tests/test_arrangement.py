@@ -167,10 +167,13 @@ class TestProjectors:
         assert p.matrix.entries[1, 1] == 1.0
 
     def test_rejects_non_idempotent_and_non_hermitian(self):
-        with pytest.raises(NumericError, match="projector"):
-            GeneralProjector.from_matrix(np.eye(2) * 0.5)
-        with pytest.raises(NumericError, match="projector"):
-            GeneralProjector.from_matrix(np.array([[1, 0.5], [0, 0]]))
+        # the deviation is the full maximum of |m - m^dagger| and |m m - m|
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(65, 65)) + 1j * rng.normal(size=(65, 65))
+        for m in (np.eye(2) * 0.5, np.array([[1, 0.5], [0, 0]]), a / 100, (a + a.conj().T) / 100):
+            full = max(float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m))))
+            with pytest.raises(NumericError, match=f"^not a projector: max deviation {full:.3e}$"):
+                GeneralProjector.from_matrix(m)
 
     def test_commutes_oracle(self):
         # [first, plus] has commutator max entry 0.5, far above tolerance

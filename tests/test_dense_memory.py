@@ -1,10 +1,12 @@
 """The dense layer allocates nothing of full size that it does not return.
 
 The Hermiticity residual is taken over row blocks, Haar draws store only
-their kept columns as complex numbers, fresh results are frozen where they
-are made so that DenseOperatorTensor keeps them without a copy, and the
-basis-invariance verifier frees what its projectors do not read; the product
-test subtracts into its product in place. These tests pin that every value
+their kept columns as complex numbers, fresh results (the parsed matrix
+included) are frozen where they are made so that DenseOperatorTensor keeps
+them without a copy, and the basis-invariance verifier frees what its
+projectors do not read; the product test subtracts into its product in
+place, projectors valid by construction skip the product check, and a
+permutation's repr builds no matrix. These tests pin that every value
 stays bit-identical to the full-size expressions, and bound the traced peak
 at N = 512 and 1024 (numpy reports its arrays to tracemalloc; LAPACK's own
 work space is not counted).
@@ -129,17 +131,62 @@ def test_basis_invariance_frees_what_its_projectors_do_not_read(build, bound):
     assert peak <= bound * n * n * 16  # both took 6 while the moved copy stayed live
 
 
+def read_only_view(a):
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 def test_a_callers_array_is_copied_and_a_fresh_result_is_kept():
     shape = configuration(2)
     mine = np.array([[0.25, 0.5j], [-0.5j, 0.75]])
-    for given in (mine, mine[:, :]):  # the array itself, and a view of it
-        t = DenseOperatorTensor(shape, given)
-        before = t.entries.tobytes()
-        given[0, 0] = 9.0
-        assert t.entries.tobytes() == before and not t.entries.flags.writeable
-        mine[0, 0] = 0.25
+    unitary = np.eye(2, dtype=np.complex128)
+    for take in (lambda a: a, lambda a: a[:, :], read_only_view):  # the array, a view, a read-only view
+        t = DenseOperatorTensor(shape, take(mine))
+        bt = BasisTransformation(shape, shape, take(unitary))
+        before = t.entries.tobytes(), bt.matrix.tobytes()
+        mine[0, 0] = unitary[0, 0] = 7.0  # a kept read-only view would make bt.matrix [[7, 0], [0, 1]]
+        assert (t.entries.tobytes(), bt.matrix.tobytes()) == before
+        assert not (t.entries.flags.writeable or bt.matrix.flags.writeable)
+        mine[0, 0], unitary[0, 0] = 0.25, 1.0
     fresh = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=np.complex128)
     fresh.setflags(write=False)
     assert DenseOperatorTensor(shape, fresh).entries is fresh
     ea = qlab.build_from_state_vector(np.array([0.6, 0.8j]), shape)
     assert not ea.alpha.entries.flags.writeable
+
+
+@pytest.mark.parametrize("build", ["identity", "power"])
+def test_projectors_built_by_construction_skip_the_product_check(build):
+    shape = configuration(*[2] * 10)
+    want = np.eye(N, dtype=np.complex128)
+    if build == "power":
+        want[:-1, :-1] = 0.0
+        made, peak = traced_peak(lambda: qlab.Power(shape, (2,) * 10).projector())
+    else:
+        made, peak = traced_peak(lambda: qlab.GeneralProjector.identity(shape))
+    assert made.matrix.entries.tobytes() == want.tobytes()
+    assert made.rank == (N if build == "identity" else 1)
+    assert peak <= 1.25 * FULL  # the Hermiticity and idempotence check took 3.01 (identity) and 4.01 (power)
+
+
+@pytest.fixture(scope="module")
+def large_text(large):
+    return qlab.serialize_arrangement(large[1])
+
+
+@pytest.mark.parametrize("validate, bound", [(False, 1.5), (True, 3.25)])
+def test_parse_keeps_the_matrix_its_reader_filled(large, large_text, validate, bound):
+    parsed, peak = traced_peak(lambda: qlab.parse_arrangement(large_text, validate=validate))
+    assert parsed.alpha.entries.tobytes() == large[1].alpha.entries.tobytes()
+    assert peak <= bound * FULL  # the constructor's copy made 2.07 and 4.01
+
+
+def test_repr_of_a_permutation_builds_no_matrix():
+    shape = configuration(*[2] * 10)
+    bt = BasisTransformation.screen_permutation(shape, tuple(range(10, 0, -1)))
+    text, peak = traced_peak(lambda: repr(bt))
+    assert "matrix" not in vars(bt)
+    assert peak < 0.01 * FULL  # building the matrix took 1.0
+    assert text == f"BasisTransformation(source_shape={shape!r}, target_shape={bt.target_shape!r})"
+    assert "matrix" not in repr(BasisTransformation.random(configuration(2), 1))

@@ -1,22 +1,30 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qlab
 from qlab import (
     Bipartition,
     DimensionError,
     configuration,
+    entanglement,
     is_fully_separable_pure,
     is_product_across,
     schmidt_decompose,
     schmidt_rank_profile,
 )
+from qlab.tolerances import SCHMIDT_RANK_TOL
 
 from helpers import (
     bell_state,
     four_screen_pair,
     ghz_state,
+    loop_is_fully_separable_pure,
     loop_partial_trace,
+    loop_schmidt_rank_profile,
     product_state,
     w_state,
 )
@@ -251,3 +259,53 @@ class TestRankProfile:
             profile = schmidt_rank_profile(state, shape)
             all_one = set(profile.values()) == {1}
             assert all_one == is_fully_separable_pure(state, shape)[0]
+
+
+def drawn_state(counts, kind, seed):
+    """A random state, a product state, or a product state with one amplitude
+    moved by about SCHMIDT_RANK_TOL and renormalized."""
+    rng = qlab.make_rng(seed)
+    if kind == "random":
+        return qlab.random_state_vector(math.prod(counts), rng)
+    state = product_state(tuple(counts), seed)[0]
+    if kind == "nudged":
+        state = state.copy()
+        state[rng.integers(state.size)] += SCHMIDT_RANK_TOL * rng.choice([0.5, 1.0, 2.0]) * np.exp(2j * np.pi * rng.random())
+        state /= np.linalg.norm(state)
+    return state
+
+
+class TestOneProofPerState:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        counts=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4).filter(
+            lambda c: math.prod(c) <= 2048
+        ),
+        kind=st.sampled_from(["random", "product", "nudged"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(counts=[12, 10], kind="nudged", seed=1)
+    @example(counts=[10, 1, 11], kind="product", seed=2)
+    @example(counts=[2, 12, 3, 10], kind="random", seed=3)
+    def test_profile_and_peel_equal_the_per_cut_route_bit_for_bit(self, counts, kind, seed):
+        shape = configuration(*counts)
+        state = drawn_state(counts, kind, seed)
+        assert list(schmidt_rank_profile(state, shape).items()) == list(loop_schmidt_rank_profile(state, shape).items())
+        separable, factors = is_fully_separable_pure(state, shape)
+        want_separable, want_factors = loop_is_fully_separable_pure(state, shape)
+        assert separable == want_separable
+        if want_factors is None:
+            assert factors is None
+        else:
+            assert [f.tobytes() for f in factors] == [f.tobytes() for f in want_factors]
+
+    def test_a_state_is_proven_once_per_profile_and_per_peel(self):
+        shape = configuration(*[2] * 6)
+        state = qlab.random_state_vector(shape.dimension, qlab.make_rng(45))
+        product, _ = product_state(shape.detector_counts, seed=46)
+        with mock.patch.object(entanglement, "_unit_norm", wraps=entanglement._unit_norm) as spy:
+            assert len(schmidt_rank_profile(state, shape)) == 31
+        assert spy.call_count == 1  # one per cut made 32
+        with mock.patch.object(entanglement, "_unit_norm", wraps=entanglement._unit_norm) as spy:
+            assert is_fully_separable_pure(product, shape)[0]
+        assert spy.call_count == 1  # one per peel made 6
