@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrangement import SAMPLER_ALGORITHM, sample_outcomes, validate_isa
-from .entanglement import Bipartition, is_product_across, schmidt_decompose
+from .entanglement import Bipartition, _as_state, _schmidt as _schmidt_form, is_product_across, schmidt_decompose
 from .errors import DimensionError, ParseError, QLabError
 from .fileio import _write_text, read_arrangement, read_state, write_arrangement
 from .screens import ScreenConfiguration
@@ -179,8 +179,9 @@ def _schmidt(args, state):
 def _separability(args, state):
     v, shape, _ = state
     n = shape.num_screens
+    v = _as_state(v, shape)  # proven once; every cut below covers the screens
     cuts = [Bipartition.split([j], n) for j in range(1, n + 1)] if n >= 2 else []
-    ranks = [schmidt_decompose(v, shape, cut).rank for cut in cuts]
+    ranks = [_schmidt_form(v, shape.detector_counts, cut).rank for cut in cuts]
     fully_separable = all(rank == 1 for rank in ranks)
     fields = [("factorization", _key(shape.detector_counts)), ("fully_separable", fully_separable)]
     fields += [(f"rank[{j}]", rank) for j, rank in enumerate(ranks, start=1)]

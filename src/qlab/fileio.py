@@ -49,7 +49,8 @@ fault included, is decoded as JSON and read record by record, in file order,
 stopping at the first fault with the errors above. The writer formats all
 records at once; it serializes an arrangement only if the arrangement module
 finds it valid. Every output file, the CLI's SVG too, is written by one
-routine as UTF-8 with LF line ends, whatever the platform's line separator.
+routine as UTF-8 with LF line ends, whatever the platform's line separator,
+and a regular output file is replaced whole or left as it was.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -433,9 +436,43 @@ def read_arrangement(path: str, validate: bool = True) -> ExperimentalArrangemen
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write `text` to `path` as UTF-8 with LF line ends, whatever the platform's."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write `text` to `path` as UTF-8 with LF line ends, whatever the platform's.
+
+    A new or regular file is written whole or not at all: the text goes to a
+    temporary file beside it, which takes the mode a plain open(path, "w")
+    would leave and replaces `path` once complete, and is removed on any
+    failure. Anything else (a device such as /dev/stdout, a pipe, a symbolic
+    link) is written directly, as is a file beside which no temporary file
+    can be made; a failed open reports what a plain open(path, "w") reports.
+    """
+    try:
+        old = os.lstat(path)
+    except OSError:
+        old = None  # absent, or a fault that the plain open below reports
+    tmp = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        if old is not None:
+            open(path, "ab").close()  # a file that cannot be written fails here, as a plain open would, bytes kept
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as to a plain open
+        except OSError:
+            tmp = None
+    if tmp is None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_arrangement(path: str, ea: ExperimentalArrangement) -> None:

@@ -3,10 +3,16 @@
 A basis transformation is a unitary matrix, proven unitary once, read against
 the fixed flattening of a source and a target configuration, which may
 factorize the same total dimension differently. Entry transformation is one
-conjugation, computed in one place; a screen permutation moves entries by
-index and builds its matrix only when it is read:
+conjugation, computed in one place, which also undoes it by the adjoint; a
+screen permutation moves entries by index and builds its matrix only when it
+is read:
 
     transformed = matrix @ alpha @ matrix^dagger
+
+A transformation weakly remembers the last arrangement it moved and the
+result, so a second change_basis of the same arrangement (the verifier's,
+after its caller's) returns that result instead of computing it again. The
+memo holds no reference that keeps either alive.
 
 Every operation assumes a valid input. Unitary conjugation, partial trace
 and adjoining a pure screen preserve validity, so results get only the O(N^2)
@@ -20,6 +26,7 @@ uncorrelated screen and then removing it is lossless.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,12 +71,15 @@ class BasisTransformation:
     unitary. A permutation, the identity included, holds only _source_index,
     the source flat position of each target one; entries move by index, and
     `matrix` (row i has its 1 in column _source_index[i]) is built on first read.
+    _last_moved holds weak references to the last (arrangement, result) pair
+    of change_basis; a pickled copy leaves it behind.
     """
 
     source_shape: ScreenConfiguration
     target_shape: ScreenConfiguration
     matrix: np.ndarray = field(repr=False)
     _source_index: np.ndarray | None = field(default=None, init=False, repr=False)
+    _last_moved: tuple[weakref.ref, weakref.ref] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _same_dimension(self.source_shape, self.target_shape)
@@ -90,6 +100,9 @@ class BasisTransformation:
         mat[np.arange(len(src)), src] = 1.0
         object.__setattr__(self, "matrix", _fresh(mat))
         return mat
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_last_moved"}  # weak references do not pickle
 
     @classmethod
     def identity(
@@ -136,21 +149,34 @@ class BasisTransformation:
         return self._unitary_by_construction(self.target_shape, self.source_shape, built)
 
 
-def _conjugate(entries: np.ndarray, bt: BasisTransformation) -> np.ndarray:
-    """bt.matrix @ entries @ bt.matrix^dagger; an index move for a permutation."""
+def _conjugate(entries: np.ndarray, bt: BasisTransformation, adjoint: bool = False) -> np.ndarray:
+    """bt.matrix @ entries @ bt.matrix^dagger, or with `adjoint` bt.matrix^dagger
+    @ entries @ bt.matrix, which undoes it; an index move for a permutation."""
     src = bt._source_index
     if src is None:
-        return bt.matrix @ entries @ bt.matrix.conj().T
+        lam = bt.matrix
+        return lam.conj().T @ entries @ lam if adjoint else lam @ entries @ lam.conj().T
+    if adjoint:
+        src = np.argsort(src)
     return entries[np.ix_(src, src)]
 
 
 def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> ExperimentalArrangement:
-    """Re-express the arrangement in the target description."""
+    """Re-express the arrangement in the target description.
+
+    Called again with the same arrangement object while its last result is
+    alive, it returns that result: both are immutable, so it is the same value.
+    """
     if ea.shape != bt.source_shape:
         raise DimensionError(
             f"arrangement configuration {ea.shape} does not match transformation source {bt.source_shape}"
         )
-    return _valid_result(DenseOperatorTensor(bt.target_shape, _fresh(_conjugate(ea.alpha.entries, bt))), ea.label)
+    last = bt._last_moved
+    if last is not None and last[0]() is ea and (moved := last[1]()) is not None:
+        return moved
+    moved = _valid_result(DenseOperatorTensor(bt.target_shape, _fresh(_conjugate(ea.alpha.entries, bt))), ea.label)
+    object.__setattr__(bt, "_last_moved", (weakref.ref(ea), weakref.ref(moved)))
+    return moved
 
 
 def refactorize(ea: ExperimentalArrangement, new_shape: ScreenConfiguration) -> ExperimentalArrangement:
@@ -239,7 +265,8 @@ def verify_basis_invariance(
 
     so it is read from `pulled` = lam^dagger b lam, which the basis powers
     need anyway, in O(N^2 rank) without forming an N x N projector. `pulled`
-    is b moved back by bt.inverse(), an index move for a permutation.
+    is b moved back by the adjoint, an index move for a permutation. The
+    moved arrangement is the caller's own when it has just made it with bt.
     """
     if extra_projectors < 0:
         raise DimensionError(f"need a nonnegative number of extra projectors, got {extra_projectors}")
@@ -251,7 +278,7 @@ def verify_basis_invariance(
 
     # Basis powers all at once: valuations on the source are diag(a); their
     # images have valuation diag(pulled).
-    pulled = _conjugate(b, bt.inverse())
+    pulled = _conjugate(b, bt, adjoint=True)
     valuation_residual = float(np.max(np.abs(a.diagonal().real - pulled.diagonal().real)))
     # Identity maps to itself.
     valuation_residual = max(valuation_residual, abs(float(np.trace(a).real) - float(np.trace(b).real)))

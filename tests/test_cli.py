@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -365,6 +366,20 @@ class TestAnalysisCommands:
         assert report["fully_separable"] == ("true" if flag else "false")
         assert report["factors"] == str(len(factors) if flag else 0)
 
+    def test_separability_proves_its_state_once(self, capsys, tmp_path, monkeypatch):
+        shape = configuration(*[2] * 12)
+        path = str(tmp_path / "random.qs")
+        write_state(path, qlab.random_state_vector(shape.dimension, qlab.make_rng(12)), shape)
+        v = read_state(path)[0]
+        ranks = [qlab.schmidt_decompose(v, shape, qlab.Bipartition.split([j], 12)).rank for j in range(1, 13)]
+        norms = []
+        unit_norm = qlab.entanglement._unit_norm
+        monkeypatch.setattr(qlab.entanglement, "_unit_norm", lambda *a: norms.append(a) or unit_norm(*a))
+        rc, out, _ = run(capsys, "separability", "--state", path)
+        report = as_dict(out)
+        assert rc == 0 and len(norms) == 1  # one check per screen made 12
+        assert [int(report[f"rank[{j}]"]) for j in range(1, 13)] == ranks
+
     def test_product_test_both_cuts(self, capsys, pair_file):
         rc, out, _ = run(capsys, "product-test", "--in", pair_file, "--left", "1,2,3")
         report = as_dict(out)
@@ -729,3 +744,68 @@ def test_module_entry_point(pair_file):
     )
     assert proc.returncode == 0
     assert "valid=true" in proc.stdout
+
+
+class TestOutputFiles:
+    """A regular --out file is replaced whole or left as it was; anything else is written directly."""
+
+    @pytest.fixture
+    def big_file(self, tmp_path):
+        path = tmp_path / "n256.ea"
+        write_arrangement(str(path), qlab.random_arrangement(configuration(*[2] * 8), 3))
+        return path
+
+    def change_basis_limited(self, source, out):
+        """`qlab change-basis` in a child whose files may grow to 1 MB, without SIGXFSZ."""
+        child = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (10**6, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "from qlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["change-basis", "--in", str(source), "--out", str(out), "--permute-screens", "8,7,6,5,4,3,2,1"]
+        return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, encoding="utf-8")
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+    def test_a_failed_write_leaves_no_file_and_keeps_an_old_one(self, big_file):
+        out = big_file.parent / "part.ea"
+        proc = self.change_basis_limited(big_file, out)
+        assert proc.returncode == 1 and proc.stderr.startswith("error[io]: [Errno 27]")
+        assert sorted(os.listdir(big_file.parent)) == ["n256.ea"]
+        out.write_bytes(b"old bytes")
+        proc = self.change_basis_limited(big_file, out)
+        assert proc.returncode == 1 and proc.stderr.startswith("error[io]:")
+        assert sorted(os.listdir(big_file.parent)) == ["n256.ea", "part.ea"] and out.read_bytes() == b"old bytes"
+
+    def test_a_new_file_gets_the_mode_of_a_plain_open_and_an_old_one_keeps_its_own(self, capsys, tmp_path, pair_file):
+        mask = os.umask(0o027)
+        try:
+            (tmp_path / "plain").open("w", encoding="utf-8").close()
+            rc, _, _ = run(capsys, "render", "--in", pair_file, "--out", str(tmp_path / "new.svg"))
+        finally:
+            os.umask(mask)
+        assert rc == 0
+        assert os.stat(tmp_path / "new.svg").st_mode == os.stat(tmp_path / "plain").st_mode
+        old = tmp_path / "old.svg"
+        old.write_bytes(b"old")
+        old.chmod(0o604)
+        rc, _, _ = run(capsys, "render", "--in", pair_file, "--out", str(old))
+        assert rc == 0 and old.read_bytes().startswith(b"<?xml") and (os.stat(old).st_mode & 0o777) == 0o604
+        assert sorted(os.listdir(tmp_path)) == ["new.svg", "old.svg", "pair.ea", "plain"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_a_device_is_written_directly(self, pair_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlab", "render", "--in", pair_file, "--out", "/dev/stdout"],
+            capture_output=True, text=True, encoding="utf-8",
+        )
+        assert proc.returncode == 0 and proc.stdout.startswith("<?xml") and "\noutput=/dev/stdout\n" in proc.stdout
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="symbolic links need privileges")
+    def test_a_symbolic_link_is_written_through(self, capsys, tmp_path, pair_file):
+        target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        rc, _, _ = run(capsys, "render", "--in", pair_file, "--out", str(link))
+        assert rc == 0 and link.is_symlink() and target.read_bytes().startswith(b"<?xml")

@@ -3,15 +3,17 @@
 The Hermiticity residual is taken over row blocks, Haar draws store only
 their kept columns as complex numbers, fresh results (the parsed matrix
 included) are frozen where they are made so that DenseOperatorTensor keeps
-them without a copy, and the basis-invariance verifier frees what its
-projectors do not read; the product test subtracts into its product in
-place, projectors valid by construction skip the product check, and a
-permutation's repr builds no matrix. These tests pin that every value
-stays bit-identical to the full-size expressions, and bound the traced peak
-at N = 512 and 1024 (numpy reports its arrays to tracemalloc; LAPACK's own
+them without a copy, and the basis-invariance verifier reuses its caller's
+moved arrangement, pulls it back by the adjoint without copying the
+transformation, and frees what its projectors do not read; the product test
+subtracts into its product in place, projectors valid by construction skip
+the product check, and a permutation's repr builds no matrix. These tests
+pin that every value stays bit-identical to the full-size expressions, and
+bound the traced peak at N = 512 and 1024 (numpy reports its arrays to tracemalloc; LAPACK's own
 work space is not counted).
 """
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -20,8 +22,9 @@ import pytest
 
 import qlab
 from qlab import BasisTransformation, DenseOperatorTensor, configuration
-from qlab import arrangement
+from qlab import arrangement, transforms
 from qlab.rand import _haar_columns, make_rng
+from qlab.tensor import _fresh
 
 
 def traced_peak(call):
@@ -129,6 +132,66 @@ def test_basis_invariance_frees_what_its_projectors_do_not_read(build, bound):
     report, peak = traced_peak(lambda: qlab.verify_basis_invariance(ea, bt, seed=9))
     assert report.passed
     assert peak <= bound * n * n * 16  # both took 6 while the moved copy stayed live
+
+
+CONJUGATE = transforms._conjugate
+
+
+def inverse_route(entries, bt, adjoint=False):
+    """_conjugate as it pulled back before: through bt.inverse(), whose matrix is a copy of bt.matrix^dagger."""
+    return CONJUGATE(entries, bt.inverse() if adjoint else bt)
+
+
+@functools.lru_cache
+def haar(n):
+    return qlab.random_unitary(n, n)
+
+
+def caller_matrix(n, layout):
+    """A unitary as a caller may hand it over: writable (copied to C order), or read-only with every array
+    it views, so that the constructor keeps it in its own layout."""
+    lam = haar(n)
+    if layout == "writable":
+        return np.asfortranarray(lam)
+    if layout == "fortran":
+        return _fresh(np.asfortranarray(lam))
+    spread = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    spread[::2, ::2] = lam
+    return _fresh(spread[::2, ::2] if layout == "strided" else np.ascontiguousarray(lam[::-1, ::-1])[::-1, ::-1])
+
+
+@pytest.mark.parametrize("layout", ["haar", "writable", "fortran", "strided", "reversed"])
+@pytest.mark.parametrize("counts", [(3, 5), (2,) * 6, (2,) * 10], ids=["15", "64", "1024"])
+def test_pulled_by_the_adjoint_is_the_inverse_route_bit_for_bit(counts, layout):
+    shape = configuration(*counts)
+    n = shape.dimension
+    bt = (BasisTransformation.random(shape, n) if layout == "haar"
+          else BasisTransformation(shape, shape, caller_matrix(n, layout)))
+    b = qlab.change_basis(qlab.random_arrangement(shape, n + 1, terms=2), bt).alpha.entries
+    assert transforms._conjugate(b, bt, adjoint=True).tobytes() == inverse_route(b, bt, adjoint=True).tobytes()
+    if n < N:
+        ea = qlab.random_arrangement(shape, n + 2)
+        report = qlab.verify_basis_invariance(ea, bt, seed=n)
+        with mock.patch.object(transforms, "_conjugate", inverse_route):
+            expected = qlab.verify_basis_invariance(ea, bt, seed=n)
+        assert (report.spectrum_residual.hex(), report.valuation_residual.hex()) == (
+            expected.spectrum_residual.hex(), expected.valuation_residual.hex())
+
+
+@pytest.mark.parametrize("build, bound", [("random", 2.25), ("screen_permutation", 1.25)])
+def test_basis_invariance_after_its_callers_change_reuses_it_and_copies_no_transformation(large, build, bound):
+    shape, ea = large
+    make = {"random": lambda: BasisTransformation.random(shape, 8),
+            "screen_permutation": lambda: BasisTransformation.screen_permutation(shape, tuple(range(10, 0, -1)))}[build]
+    bt = make()
+    moved = qlab.change_basis(ea, bt)  # the caller's, alive while the verifier runs
+    # no projectors: their QR at rank near N is bounded above, at N = 512
+    report, peak = traced_peak(lambda: qlab.verify_basis_invariance(ea, bt, extra_projectors=0))
+    with mock.patch.object(transforms, "_conjugate", inverse_route):
+        expected = qlab.verify_basis_invariance(ea, make(), extra_projectors=0)
+    assert (report.spectrum_residual.hex(), report.valuation_residual.hex()) == (
+        expected.spectrum_residual.hex(), expected.valuation_residual.hex())
+    assert peak <= bound * FULL  # recomputing the move took 5 (with the copies of the matrix) and 2
 
 
 def read_only_view(a):

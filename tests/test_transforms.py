@@ -1,12 +1,16 @@
+import gc
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import qlab
+from qlab import transforms
 from qlab import (
     BasisTransformation,
     DimensionError,
+    ExperimentalArrangement,
     NumericError,
     ValidationError,
     change_basis,
@@ -329,3 +333,90 @@ class TestVerifiers:
     def test_factorization_invariance_needs_a_trial(self):
         with pytest.raises(DimensionError):
             verify_factorization_invariance(two_detector_table(), 2, trials=0)
+
+
+def transformation(kind, shape, seed):
+    """A fresh transformation of each kind, equal for equal arguments."""
+    if kind == "haar":
+        return BasisTransformation.random(shape, seed)
+    if kind == "matrix":
+        return BasisTransformation(shape, shape, qlab.random_unitary(shape.dimension, seed))
+    if kind == "permutation":
+        return BasisTransformation.screen_permutation(shape, tuple(range(shape.num_screens, 0, -1)))
+    return BasisTransformation.identity(shape)
+
+
+KINDS = ["haar", "matrix", "permutation", "identity"]
+
+
+def report_bits(r):
+    return r.degree, r.num_projectors, r.spectrum_residual.hex(), r.valuation_residual.hex(), r.passed
+
+
+class TestChangeBasisMemo:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_same_arrangement_again_returns_the_first_result(self, kind):
+        ea = qlab.random_arrangement(configuration(2, 3, 2), 51)
+        bt = transformation(kind, ea.shape, 52)
+        moved = change_basis(ea, bt)
+        assert change_basis(ea, bt) is moved
+        unremembered = change_basis(ea, transformation(kind, ea.shape, 52))
+        assert unremembered is not moved
+        assert unremembered.alpha.entries.tobytes() == moved.alpha.entries.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_verifier_conjugates_once_after_its_caller(self, kind, monkeypatch):
+        ea = qlab.random_arrangement(configuration(2, 2, 2), 53)
+        expected = verify_basis_invariance(ea, transformation(kind, ea.shape, 54), seed=55)  # no memo
+        bt = transformation(kind, ea.shape, 54)
+        calls = []
+        conjugate = transforms._conjugate
+        monkeypatch.setattr(transforms, "_conjugate", lambda *a, **k: calls.append(k) or conjugate(*a, **k))
+        moved = change_basis(ea, bt)
+        report = verify_basis_invariance(ea, bt, seed=55)
+        assert calls == [{}, {"adjoint": True}]  # the verifier only pulls back; recomputing the move made 3
+        assert report_bits(report) == report_bits(expected)
+        assert moved.alpha.spectrum is change_basis(ea, bt).alpha.spectrum  # the verifier's, cached on the result
+
+    def test_an_arrangement_with_the_same_tensor_and_another_label_gets_its_own_result(self):
+        ea = qlab.random_arrangement(configuration(2, 2), 56)
+        bt = BasisTransformation.random(ea.shape, 57)
+        moved = change_basis(ea, bt)
+        twin = ExperimentalArrangement(ea.alpha, "twin")
+        other = change_basis(twin, bt)
+        assert other is not moved and (moved.label, other.label) == (None, "twin")
+        assert other.alpha.entries.tobytes() == moved.alpha.entries.tobytes()
+        assert change_basis(twin, bt) is other
+        assert change_basis(ea, bt) is not moved  # the memo holds the last pair only
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_memo_keeps_nothing_alive(self, kind):
+        shape = configuration(*[2] * 9)
+        full = shape.dimension ** 2 * 16
+        ea = qlab.random_arrangement(shape, 58, terms=2)
+        bt = transformation(kind, shape, 59)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            moved = change_basis(ea, bt)
+            held = tracemalloc.get_traced_memory()[0] - start
+            source, result = bt._last_moved
+            assert (source(), result()) == (ea, moved)
+            del moved
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert result() is None and source() is ea
+        assert held - kept >= full and kept < 0.01 * full
+        del ea
+        gc.collect()
+        assert source() is None
+
+    def test_a_transformation_pickles_without_its_memo(self):
+        ea = qlab.random_arrangement(configuration(2, 2), 63)
+        for bt in (BasisTransformation.random(ea.shape, 64), BasisTransformation.screen_permutation(ea.shape, (2, 1))):
+            moved = change_basis(ea, bt)
+            copy = pickle.loads(pickle.dumps(bt))
+            assert copy._last_moved is None and repr(copy) == repr(bt)
+            assert change_basis(ea, copy).alpha.entries.tobytes() == moved.alpha.entries.tobytes()
