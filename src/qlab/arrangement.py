@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,13 +130,13 @@ def _structural_checks(a: np.ndarray) -> tuple[IsaCheck, ...]:
     diagonal residual is the worst of imaginary part and distance outside [0, 1].
     Entries near the largest double give inf residuals, which fail."""
     diag = a.diagonal()
-    below = float(np.max(np.maximum(-diag.real, 0.0)))
-    above = float(np.max(np.maximum(diag.real - 1.0, 0.0)))
+    below = float(np.maximum(-diag.real, 0.0).max())
+    above = float(np.maximum(diag.real - 1.0, 0.0).max())
     with np.errstate(over="ignore", invalid="ignore"):
         found = (
             ("hermitian", _hermiticity_residual(a), tolerances.HERMITICITY_TOL),
             ("trace", float(abs(np.trace(a) - 1.0)), tolerances.TRACE_TOL),
-            ("diagonal", max(float(np.max(np.abs(diag.imag))), below, above), tolerances.DIAGONAL_TOL),
+            ("diagonal", max(float(np.abs(diag.imag).max()), below, above), tolerances.DIAGONAL_TOL),
         )
     return tuple(IsaCheck(name, res <= tol, res, tol) for name, res, tol in found)
 
@@ -244,9 +244,20 @@ def build_from_mixture(
     total = float(w.sum())
     if abs(total - 1.0) > tolerances.TRACE_TOL:
         raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
+    return _mixed(shape, w, (ea.alpha.entries for ea in arrangements), label)
+
+
+def _mixed(
+    shape: ScreenConfiguration, weights: np.ndarray, matrices: Iterable[np.ndarray], label: str | None
+) -> ExperimentalArrangement:
+    """sum_i w_i m_i, summed into one accumulator and proven once.
+
+    Each term is valid by construction (an arrangement, or |v><v| of a unit
+    vector) and the weights are convex; the result's trace check covers both.
+    """
     acc = np.zeros((shape.dimension, shape.dimension), dtype=np.complex128)
-    for wi, ea in zip(w, arrangements):
-        acc += wi * ea.alpha.entries
+    for wi, m in zip(weights, matrices):
+        acc += wi * m
     return _valid_result(DenseOperatorTensor(shape, _fresh(acc)), label)
 
 

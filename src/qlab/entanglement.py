@@ -15,6 +15,7 @@ on each cut, a separability peel on each screen split off the remainder.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement
 from .errors import DimensionError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _fresh, _unit_norm, partial_trace
+from .tensor import DenseOperatorTensor, _fresh, _kron, _unit_norm, partial_trace
 from .transforms import BasisTransformation, _conjugate
 
 MAX_PROFILE_SCREENS = 12
@@ -86,9 +87,9 @@ def _as_state(state: Sequence[complex] | np.ndarray, shape: ScreenConfiguration)
 def _schmidt(v: np.ndarray, counts: Sequence[int], cut: Bipartition) -> SchmidtResult:
     """Schmidt form of a proven state across a proven cut: one reorder, one SVD, one rank rule."""
     permuted = v.reshape(counts).transpose([p - 1 for p in cut.left + cut.right])
-    n_left = int(np.prod([counts[p - 1] for p in cut.left]))
+    n_left = math.prod(counts[p - 1] for p in cut.left)
     u, s, vh = np.linalg.svd(permuted.reshape(n_left, -1), full_matrices=False)
-    return SchmidtResult(s, u, vh.T, int(np.sum(s > tolerances.SCHMIDT_RANK_TOL)))
+    return SchmidtResult(s, u, vh.T, int(np.count_nonzero(s > tolerances.SCHMIDT_RANK_TOL)))
 
 
 _PEEL = Bipartition((1,), (2,))  # the first screen against the rest, read as one screen
@@ -161,6 +162,6 @@ def is_product_across(ea: ExperimentalArrangement, cut: Bipartition) -> tuple[bo
     k = len(cut.left)
     left_marginal = partial_trace(arranged, range(k + 1, ea.shape.num_screens + 1))
     right_marginal = partial_trace(arranged, range(1, k + 1))
-    product = np.kron(left_marginal.entries, right_marginal.entries)
+    product = _kron(left_marginal.entries, right_marginal.entries)
     residual = float(np.abs(np.subtract(arranged.entries, product, out=product)).max())
     return residual <= tolerances.PRODUCT_TOL, residual

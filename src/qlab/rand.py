@@ -2,15 +2,16 @@
 
 Everything routes through a PCG64 generator so a fixed seed reproduces the
 same objects on every run. Functions accept either a seed or a Generator.
+
+A random arrangement is proven once: its weighted rank-one terms are summed
+into one accumulator, and only the mixture gets the O(N^2) result checks.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .arrangement import ExperimentalArrangement, build_from_mixture, build_from_state_vector
+from .arrangement import ExperimentalArrangement, _mixed
 from .screens import ScreenConfiguration
 
 
@@ -90,15 +91,16 @@ def random_arrangement(
     terms: int | None = None,
     label: str | None = None,
 ) -> ExperimentalArrangement:
-    """Random valid arrangement: a Dirichlet-weighted mixture of rank-one terms."""
+    """Random valid arrangement: a Dirichlet-weighted mixture of rank-one terms.
+
+    Draws the weights, then one unit vector per term, and sums w_i |v_i><v_i|
+    with no per-term arrangement or check: each term is valid by construction.
+    """
     rng = make_rng(rng)
     if terms is None:
         terms = int(rng.integers(1, 5))
     if terms < 1:
         raise ValueError(f"terms must be positive, got {terms}")
-    weights: Sequence[float] = rng.dirichlet(np.ones(terms)) if terms > 1 else [1.0]
-    parts = [
-        build_from_state_vector(random_state_vector(shape.dimension, rng), shape)
-        for _ in range(terms)
-    ]
-    return build_from_mixture(weights, parts, label)
+    weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.ones(1)
+    vectors = (random_state_vector(shape.dimension, rng) for _ in range(terms))
+    return _mixed(shape, weights, (np.outer(v, v.conj()) for v in vectors), label)

@@ -3,7 +3,9 @@
 A tensor holds one complex entry per (bra multi-index, ket multi-index) pair
 and is stored as an (N, N) array under the shared row-major flattening, so
 matrix algebra and multi-index access describe the same object. Entries are
-immutable after construction; every operation returns a new tensor.
+immutable after construction, in a pickled or deep copy too; every
+operation returns a new tensor. Every joint tensor, and every product of two
+marginals, comes from one broadcast kernel, `_kron`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ def _fresh(arr: np.ndarray) -> np.ndarray:
         view.setflags(write=False)
         view = view.base
     return arr
+
+
+def _restore_frozen(obj: object, state: dict) -> None:
+    """Restore a pickled or deep-copied state into obj with every array read-only,
+    so a checked value stays as checked."""
+    vars(obj).update({k: _fresh(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
 
 
 def _unchecked(cls: type, **fields: object) -> object:
@@ -82,9 +90,12 @@ class DenseOperatorTensor:
             raise DimensionError(
                 f"entry array has shape {arr.shape}, expected ({n}, {n}) for configuration {self.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor entries must be finite (no NaN or Inf)")
         object.__setattr__(self, "entries", arr)
+
+    def __setstate__(self, state: dict) -> None:
+        _restore_frozen(self, state)
 
     @property
     def dimension(self) -> int:
@@ -109,6 +120,16 @@ class DenseOperatorTensor:
         return self.entries.diagonal()
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, without its Python-level wrapper.
+
+    The same broadcast multiply that np.kron runs after its expand_dims, so
+    the bits are the same; a fresh, writable (n*m, n*m) array.
+    """
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
 def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOperatorTensor:
     """Joint tensor on the concatenated screen list.
 
@@ -118,7 +139,7 @@ def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOpera
     """
     _check_capacity(a.dimension, b.dimension)
     shape = ScreenConfiguration(a.shape.detector_counts + b.shape.detector_counts)
-    return DenseOperatorTensor(shape, _fresh(np.kron(a.entries, b.entries)))
+    return DenseOperatorTensor(shape, _fresh(_kron(a.entries, b.entries)))
 
 
 def partial_trace(t: DenseOperatorTensor, screens: Iterable[int]) -> DenseOperatorTensor:

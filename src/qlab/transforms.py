@@ -42,6 +42,7 @@ from .tensor import (
     _check_capacity,
     _fresh,
     _frozen_complex_matrix,
+    _restore_frozen,
     _unchecked,
     _unit_norm,
     partial_trace,
@@ -72,7 +73,8 @@ class BasisTransformation:
     the source flat position of each target one; entries move by index, and
     `matrix` (row i has its 1 in column _source_index[i]) is built on first read.
     _last_moved holds weak references to the last (arrangement, result) pair
-    of change_basis; a pickled copy leaves it behind.
+    of change_basis; a pickled copy leaves it behind, and its arrays come
+    back read-only.
     """
 
     source_shape: ScreenConfiguration
@@ -103,6 +105,9 @@ class BasisTransformation:
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "_last_moved"}  # weak references do not pickle
+
+    def __setstate__(self, state: dict) -> None:
+        _restore_frozen(self, state)
 
     @classmethod
     def identity(

@@ -187,6 +187,21 @@ def loop_is_product_across(ea: qlab.ExperimentalArrangement, cut: qlab.Bipartiti
     return residual <= PRODUCT_TOL, residual
 
 
+def loop_random_arrangement(
+    shape: qlab.ScreenConfiguration, seed: int, terms: int | None = None, label: str | None = None
+) -> qlab.ExperimentalArrangement:
+    """Random arrangement by the per-term route: the same draws (the term
+    count, the weights, then one unit vector per term), each vector built
+    and checked as an arrangement by build_from_state_vector, then mixed by
+    build_from_mixture."""
+    rng = qlab.make_rng(seed)
+    if terms is None:
+        terms = int(rng.integers(1, 5))
+    weights = rng.dirichlet(np.ones(terms)) if terms > 1 else [1.0]
+    parts = [qlab.build_from_state_vector(qlab.random_state_vector(shape.dimension, rng), shape) for _ in range(terms)]
+    return qlab.build_from_mixture(weights, parts, label)
+
+
 def loop_schmidt_rank_profile(state: np.ndarray, shape: qlab.ScreenConfiguration) -> dict[qlab.Bipartition, int]:
     """Rank profile by the public route: one schmidt_decompose per cut, each
     proving the state and the cut again."""

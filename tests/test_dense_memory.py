@@ -101,7 +101,7 @@ def test_random_arrangement_copies_no_term(large):
     shape, ea = large
     built, peak = traced_peak(lambda: qlab.random_arrangement(shape, 3, terms=2))
     assert built.alpha.entries.tobytes() == ea.alpha.entries.tobytes()
-    assert peak <= 4.5 * FULL  # two terms, the sum and one scaled term; copies made it 6
+    assert peak <= 3.25 * FULL  # the sum, one term and its weighted copy; keeping every term made it 4, copies 6
 
 
 def test_change_basis_keeps_its_fresh_result(large):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,37 @@ def test_entries_are_immutable():
     t = tensor([2], [[1, 0], [0, 0]])
     with pytest.raises(ValueError):
         t.entries[0, 0] = 5.0
+
+
+def _restored_arrays():
+    """(what, array) for every array of a checked value after a pickle round trip or a deep copy."""
+    shape = configuration(2, 2)
+    ea = qlab.random_arrangement(shape, 5, label="kept")
+    ea.alpha.spectrum  # cached on the instance, so it is pickled with it
+    haar = qlab.BasisTransformation.random(shape, 6)
+    permutation = qlab.BasisTransformation.screen_permutation(shape, (2, 1))
+    read = qlab.BasisTransformation.screen_permutation(shape, (2, 1))
+    read.matrix  # built on first read, then kept
+    for name, restore in (("pickle", lambda x: pickle.loads(pickle.dumps(x))), ("deepcopy", copy.deepcopy)):
+        tensor_copy = restore(ea.alpha)
+        yield f"{name}:tensor.entries", tensor_copy.entries
+        yield f"{name}:tensor.spectrum", vars(tensor_copy)["spectrum"]
+        yield f"{name}:arrangement.entries", restore(ea).alpha.entries
+        yield f"{name}:haar.matrix", restore(haar).matrix
+        yield f"{name}:permutation._source_index", restore(permutation)._source_index
+        read_copy = restore(read)
+        yield f"{name}:read permutation._source_index", read_copy._source_index
+        yield f"{name}:read permutation.matrix", vars(read_copy)["matrix"]
+
+
+def test_a_restored_value_keeps_its_arrays_read_only():
+    seen = []
+    for what, arr in _restored_arrays():
+        seen.append(what)
+        assert not arr.flags.writeable, what
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 7
+    assert len(seen) == 14
 
 
 def test_entry_lookup_by_multi_index():
