@@ -82,7 +82,7 @@ class ExperimentalArrangement:
     def potentia_table(self) -> np.ndarray:
         """Real diagonal in flat order."""
         diag = self.alpha.diagonal()
-        worst = float(np.max(np.abs(diag.imag))) if diag.size else 0.0
+        worst = float(np.abs(diag.imag).max()) if diag.size else 0.0
         if worst > tolerances.DIAGONAL_TOL:
             raise NumericError(f"diagonal has imaginary part {worst:.3e}")
         return diag.real.copy()
@@ -190,7 +190,7 @@ def _passes_gate(ea: ExperimentalArrangement) -> bool:
     try:
         # An overflow yields a non-finite factor, not an error, and a
         # non-finite entry spreads to every later diagonal entry.
-        return bool(np.all(np.isfinite(np.linalg.cholesky(shifted).diagonal())))
+        return bool(np.isfinite(np.linalg.cholesky(shifted).diagonal()).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -220,7 +220,7 @@ def build_from_state_vector(
         raise DimensionError(
             f"amplitude vector has length {v.size}, expected {shape.dimension} for {shape}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError("amplitudes must be finite")
     _unit_norm(v, tolerances.STATE_NORM_TOL, "state vector norm is {norm!r}, expected 1")
     return _valid_result(DenseOperatorTensor(shape, _fresh(np.outer(v, v.conj()))), label)
@@ -239,7 +239,7 @@ def build_from_mixture(
         if ea.shape != shape:
             raise DimensionError(f"mixture mixes configurations {shape} and {ea.shape}")
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValidationError("mixture weights must be nonnegative")
     total = float(w.sum())
     if abs(total - 1.0) > tolerances.TRACE_TOL:
@@ -287,7 +287,7 @@ class GeneralProjector:
     def __post_init__(self) -> None:
         m = self.matrix.entries
         squared = m @ m
-        worst = max(_hermiticity_residual(m), float(np.max(np.abs(np.subtract(squared, m, out=squared)))))
+        worst = max(_hermiticity_residual(m), float(np.abs(np.subtract(squared, m, out=squared)).max()))
         if worst > tolerances.PROJECTOR_TOL:
             raise NumericError(f"not a projector: max deviation {worst:.3e}")
 
@@ -318,7 +318,7 @@ def commutes(p: GeneralProjector, q: GeneralProjector) -> bool:
     if p.dimension != q.dimension:
         raise DimensionError(f"projector dimensions differ: {p.dimension} vs {q.dimension}")
     a, b = p.matrix.entries, q.matrix.entries
-    return float(np.max(np.abs(a @ b - b @ a))) <= tolerances.COMMUTATOR_TOL
+    return float(np.abs(a @ b - b @ a).max()) <= tolerances.COMMUTATOR_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +363,12 @@ def verify_additivity(
     mats = [p.matrix.entries for p in family]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            dev = float(np.max(np.abs(mats[i] @ mats[j])))
+            dev = float(np.abs(mats[i] @ mats[j]).max())
             if dev > tolerances.ORTHOGONALITY_TOL:
                 raise NumericError(
                     f"family is not pairwise orthogonal: |P{i} P{j}| = {dev:.3e}"
                 )
-    total = np.sum(mats, axis=0)
+    total = np.add.reduce(mats, axis=0)
     whole = complex(np.einsum("ij,ji->", giv.backing.alpha.entries, total)).real
     parts = sum(potentia_of_projector(giv, p) for p in family)
     residual = abs(whole - parts)

@@ -200,12 +200,11 @@ def _verify_basis_invariance(args, ea):
         bt = BasisTransformation.random(ea.shape, args.seed, target)
     else:
         bt = BasisTransformation.identity(ea.shape, target)
-    r = verify_basis_invariance(ea, bt, seed=args.seed)
+    r = verify_basis_invariance(ea, bt)
     return [
         ("mode", "random-unitary" if args.random_unitary else "identity"),
         ("seed", args.seed),
         ("degree", r.degree),
-        ("projectors", r.num_projectors),
         ("spectrum_residual", r.spectrum_residual),
         ("valuation_residual", r.valuation_residual),
         ("passed", r.passed),

@@ -3,7 +3,8 @@
 A tensor holds one complex entry per (bra multi-index, ket multi-index) pair
 and is stored as an (N, N) array under the shared row-major flattening, so
 matrix algebra and multi-index access describe the same object. Entries are
-immutable after construction, in a pickled or deep copy too; every
+immutable after construction, in a pickled or deep copy too, and a copy
+restored from out-of-band pickle buffers views none of them; every
 operation returns a new tensor. Every joint tensor, and every product of two
 marginals, comes from one broadcast kernel, `_kron`.
 """
@@ -43,10 +44,27 @@ def _fresh(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _restored(arr: np.ndarray) -> np.ndarray:
+    """An unpickled array, frozen; copied unless its memory is pickle's own.
+
+    Pickle's own memory is an array that owns its data (protocol 4 and
+    below, deep copies) or an immutable bytes object (protocol 5 in band).
+    Anything else, such as an out-of-band buffer, can still be written by
+    whoever handed it to pickle.loads.
+    """
+    owner = arr
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    if isinstance(owner, memoryview):
+        owner = owner.obj
+    return _fresh(arr if isinstance(owner, (np.ndarray, bytes)) else arr.copy())
+
+
 def _restore_frozen(obj: object, state: dict) -> None:
-    """Restore a pickled or deep-copied state into obj with every array read-only,
-    so a checked value stays as checked."""
-    vars(obj).update({k: _fresh(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
+    """Restore a pickled or deep-copied state into obj with every array read-only
+    and no array viewing memory another holder can write, so a checked value
+    stays as checked."""
+    vars(obj).update({k: _restored(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
 
 
 def _unchecked(cls: type, **fields: object) -> object:

@@ -32,6 +32,13 @@ ORTHOGONALITY_TOL = 1e-9
 
 # Valuation checks.
 ADDITIVITY_TOL = 1e-8
+# verify_basis_invariance holds VALUATION_TOL against sqrt(N) ||a - lam^H b lam||_F,
+# a bound on the valuation gap of every projector, which is pure rounding for
+# a unitary lam. For a two-term random arrangement and a Haar lam it reads
+# 2.2e-14, 4.7e-14 and 7.0e-14 at N = 256, 1024 and 2048, growing by about
+# 1.5 per doubling, so near 1e-13 at N = DIMENSION_CAP = 4096: five orders of
+# magnitude under the tolerance. (The worst-case matmul rounding bound is far
+# looser and does not fit under it; the headroom is measured, not proven.)
 VALUATION_TOL = 1e-8
 SPECTRUM_TOL = 1e-9
 

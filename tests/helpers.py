@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 import qlab
 from qlab.fileio import _ARRANGEMENT, _STATE, FORMAT_VERSION, _read_header
-from qlab.tolerances import FILE_NORM_TOL, FILE_RENORM_EPS, PRODUCT_TOL, SPECTRUM_TOL, VALUATION_TOL
+from qlab.tolerances import FILE_NORM_TOL, FILE_RENORM_EPS, PRODUCT_TOL
 
 
 def two_detector_table() -> qlab.ExperimentalArrangement:
@@ -242,33 +243,25 @@ def loop_random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.n
     return cols @ cols.conj().T
 
 
-def loop_verify_basis_invariance(
-    ea: qlab.ExperimentalArrangement, bt: qlab.BasisTransformation, extra_projectors: int = 3, seed: int = 0
-) -> qlab.BasisInvarianceReport:
-    """Basis invariance by the dense route: fresh spectra of both tensors,
-    and each random projector formed as an N x N matrix from a full QR and
-    conjugated by the transformation matrix."""
+def loop_valuation_gaps(
+    ea: qlab.ExperimentalArrangement, bt: qlab.BasisTransformation, ranks: Sequence[int], seed: int = 0
+) -> list[float]:
+    """Valuation gaps by the sampled dense route: every basis power, the
+    identity, then one random projector per entry of `ranks`, each formed as
+    an N x N matrix from a full QR and conjugated by the transformation matrix."""
     moved = qlab.change_basis(ea, bt)
     n = ea.dimension
     a, b, lam = ea.alpha.entries, moved.alpha.entries, bt.matrix
-    spectrum_residual = float(np.max(np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b))))
     pulled = lam.conj().T @ b @ lam
-    valuation_residual = float(np.max(np.abs(a.diagonal().real - pulled.diagonal().real)))
-    valuation_residual = max(valuation_residual, abs(float(np.trace(a).real) - float(np.trace(b).real)))
+    gaps = [float(g) for g in np.abs(a.diagonal().real - pulled.diagonal().real)]
+    gaps.append(abs(float(np.trace(a).real) - float(np.trace(b).real)))
     rng = qlab.make_rng(seed)
-    for _ in range(extra_projectors):
-        rank = int(rng.integers(1, n)) if n > 1 else 1
+    for rank in ranks:
         p = loop_random_projector(n, rank, rng)
         before = complex(np.einsum("ij,ji->", a, p)).real
         after = complex(np.einsum("ij,ji->", b, lam @ p @ lam.conj().T)).real
-        valuation_residual = max(valuation_residual, abs(before - after))
-    return qlab.BasisInvarianceReport(
-        degree=n,
-        num_projectors=n + 1 + extra_projectors,
-        spectrum_residual=spectrum_residual,
-        valuation_residual=valuation_residual,
-        passed=spectrum_residual <= SPECTRUM_TOL and valuation_residual <= VALUATION_TOL,
-    )
+        gaps.append(abs(before - after))
+    return gaps
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from helpers import (
     loop_random_projector,
     loop_serialize_arrangement,
     loop_serialize_state,
-    loop_verify_basis_invariance,
+    loop_valuation_gaps,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -184,8 +184,10 @@ def test_basis_invariance_verifier_passes(counts, seed):
     assert qlab.verify_basis_invariance(ea, bt, seed=seed).passed
 
 
-# Basis invariance by the O(N^2 r) route against the dense loop_* oracle:
-# same verdict and counts, residuals equal up to rounding.
+# The verifier's Frobenius bound against the sampled dense loop_* oracle: it
+# is at least the gap of every basis power, the identity and a random
+# projector of each rank 1..N. Valuations lie in [0, 1], and the oracle
+# rounds its own, so the slack is a few ulps of 1.
 
 TRANSFORMATIONS = {
     "random unitary": lambda shape, seed: BasisTransformation.random(shape, seed),
@@ -194,22 +196,19 @@ TRANSFORMATIONS = {
         shape, qlab.make_rng(seed).permutation(shape.num_screens) + 1
     ),
 }
+VALUATION_SLACK = 8 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("kind", sorted(TRANSFORMATIONS))
-@given(
-    counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
-    seed=seeds,
-    extra=st.integers(min_value=0, max_value=4),
-)
-def test_basis_invariance_matches_dense_oracle(kind, counts, seed, extra):
+@given(counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3), seed=seeds)
+def test_valuation_bound_covers_the_sampled_oracle_at_every_rank(kind, counts, seed):
     ea = draw_arrangement(counts, seed)
     bt = TRANSFORMATIONS[kind](ea.shape, seed + 1)
-    new = qlab.verify_basis_invariance(ea, bt, extra, seed + 2)
-    old = loop_verify_basis_invariance(ea, bt, extra, seed + 2)
-    assert (new.passed, new.degree, new.num_projectors) == (old.passed, old.degree, old.num_projectors)
-    assert abs(new.spectrum_residual - old.spectrum_residual) <= 1e-12
-    assert abs(new.valuation_residual - old.valuation_residual) <= 1e-12
+    report = qlab.verify_basis_invariance(ea, bt)
+    gaps = loop_valuation_gaps(ea, bt, range(1, ea.dimension + 1), seed + 2)
+    assert len(gaps) == 2 * ea.dimension + 1
+    assert report.passed
+    assert report.valuation_residual >= max(gaps) - VALUATION_SLACK
 
 
 @pytest.mark.parametrize("rank", range(1, 9))

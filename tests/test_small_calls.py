@@ -4,10 +4,15 @@ A random arrangement sums its weighted rank-one terms into one accumulator
 and is checked once, as a mixture; every joint tensor comes from one
 broadcast kernel, tensor._kron; and the O(N^2) result checks reduce through
 ndarray methods. These tests compare each with the longer route by bytes or
-by float hex, and count the checks a random arrangement makes.
+by float hex, count the checks a random arrangement makes, and count numpy's
+Python-level reduction wrappers in one case of the many_small benchmark.
 """
 
+import cProfile
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -131,3 +136,21 @@ def test_structural_residuals_are_the_full_expressions_bit_for_bit(n, kind):
     assert all(c.passed for c in checks) == (kind == "valid")
     if kind == "huge":
         assert checks[0].residual == np.inf
+
+
+def test_a_many_small_case_makes_no_wrapped_reduction(monkeypatch):
+    """np.max, np.all, np.sum and np.any dispatch through fromnumeric._wrapreduction;
+    ndarray methods and ufunc reductions skip it, with the same bits."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # workloads imports its sibling fixtures
+    spec = importlib.util.spec_from_file_location("workloads_under_test", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    case = workloads.ManySmall(1).make_input(0)[-1]
+    profile = cProfile.Profile()
+    profile.runcall(workloads.ManySmall._one, case)
+    profile.create_stats()
+    calls = {(Path(path).name, name): count for (path, _, name), (_, count, *_) in profile.stats.items()}
+    assert calls[("arrangement.py", "_structural_checks")] > 0  # the case reached qlab
+    assert calls.get(("fromnumeric.py", "_wrapreduction"), 0) == 0

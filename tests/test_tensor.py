@@ -64,6 +64,27 @@ def test_a_restored_value_keeps_its_arrays_read_only():
     assert len(seen) == 14
 
 
+@pytest.mark.parametrize("kind", ["tensor", "haar", "permutation"])
+def test_an_out_of_band_restore_does_not_view_the_callers_buffers(kind):
+    shape = configuration(2, 2)
+    value = {
+        "tensor": lambda: qlab.random_arrangement(shape, 5).alpha,
+        "haar": lambda: qlab.BasisTransformation.random(shape, 6),
+        "permutation": lambda: qlab.BasisTransformation.screen_permutation(shape, (2, 1)),
+    }[kind]()
+    buffers = []
+    data = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+    raw = [bytearray(b.raw()) for b in buffers]
+    assert raw  # the arrays left the pickle stream
+    restored = pickle.loads(data, buffers=raw)
+    arrays = [v for v in vars(restored).values() if isinstance(v, np.ndarray)]
+    before = [arr.tobytes() for arr in arrays]
+    for buffer in raw:
+        buffer[:] = b"\x07" * len(buffer)
+    assert [arr.tobytes() for arr in arrays] == before
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
 def test_entry_lookup_by_multi_index():
     t = tensor([2, 2], np.arange(16).reshape(4, 4))
     assert t.entry((1, 2), (2, 1)) == 1 * 4 + 2  # row 1, column 2 in flat terms

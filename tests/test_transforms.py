@@ -293,11 +293,46 @@ class TestVerifiers:
         report = verify_basis_invariance(ea, bt)
         assert report.passed
 
-    def test_basis_invariance_identity_is_exact(self):
-        ea = four_screen_pair()
-        report = verify_basis_invariance(ea, BasisTransformation.identity(ea.shape))
-        assert report.passed
-        assert report.spectrum_residual == 0.0
+    @pytest.mark.parametrize("order", [None, (3, 1, 2)])
+    def test_basis_invariance_of_an_index_move_is_exact(self, order):
+        ea = qlab.random_arrangement(configuration(2, 3, 4), 40)
+        bt = (BasisTransformation.identity(ea.shape) if order is None
+              else BasisTransformation.screen_permutation(ea.shape, order))
+        report = verify_basis_invariance(ea, bt)
+        assert report.passed and report.valuation_residual == 0.0
+        if order is None:  # a permuted matrix has its own eigvalsh rounding
+            assert report.spectrum_residual == 0.0
+
+    def test_basis_invariance_bound_flags_a_slightly_non_unitary_transformation(self, monkeypatch):
+        ea = qlab.random_arrangement(configuration(2, 3), 43, terms=2)
+        lam = qlab.random_unitary(ea.dimension, 44) * (1 + 1e-6)
+        bt = BasisTransformation._unitary_by_construction(ea.shape, ea.shape, lam)
+        with pytest.raises(ValidationError, match="trace"):
+            change_basis(ea, bt)  # its image has trace (1 + 1e-6)^2
+        # with change_basis's own checks lifted, the bound alone must see it
+        monkeypatch.setattr(transforms, "_valid_result", ExperimentalArrangement)
+        report = verify_basis_invariance(ea, bt)
+        assert not report.passed
+        assert report.valuation_residual > qlab.tolerances.VALUATION_TOL
+
+    def test_basis_invariance_draws_nothing(self, monkeypatch):
+        ea = qlab.random_arrangement(configuration(2, 2, 2), 45)
+        bt = BasisTransformation.random(ea.shape, 46)
+        calls = []
+        qr, haar = np.linalg.qr, qlab.rand._haar_columns
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
+        monkeypatch.setattr(qlab.rand, "_haar_columns", lambda *a, **k: calls.append("haar") or haar(*a, **k))
+        rng = qlab.make_rng(47)
+        state = rng.bit_generator.state
+        assert verify_basis_invariance(ea, bt, seed=rng).passed
+        assert calls == [] and rng.bit_generator.state == state
+
+    def test_basis_invariance_seed_is_keyword_only_and_unused(self):
+        ea = two_detector_table()
+        bt = BasisTransformation.random(ea.shape, 48)
+        assert verify_basis_invariance(ea, bt, seed=5) == verify_basis_invariance(ea, bt)
+        with pytest.raises(TypeError):
+            verify_basis_invariance(ea, bt, 5)
 
     @pytest.mark.parametrize("order", [None, (3, 1, 2)])
     def test_basis_invariance_of_a_permutation_never_reads_its_matrix(self, order):
@@ -314,13 +349,6 @@ class TestVerifiers:
         object.__setattr__(bt, "matrix", np.full((n, n), np.nan))
         report = verify_basis_invariance(ea, bt, seed=42)
         assert report.passed and report == expected
-
-    def test_basis_invariance_rejects_negative_projector_count(self):
-        ea = two_detector_table()
-        with pytest.raises(DimensionError, match="got -5"):
-            verify_basis_invariance(ea, BasisTransformation.identity(ea.shape), extra_projectors=-5)
-        report = verify_basis_invariance(ea, BasisTransformation.identity(ea.shape), extra_projectors=0)
-        assert report.num_projectors == 3
 
     def test_factorization_invariance_report(self):
         ea = three_screen_pair()
@@ -350,7 +378,7 @@ KINDS = ["haar", "matrix", "permutation", "identity"]
 
 
 def report_bits(r):
-    return r.degree, r.num_projectors, r.spectrum_residual.hex(), r.valuation_residual.hex(), r.passed
+    return r.degree, r.spectrum_residual.hex(), r.valuation_residual.hex(), r.passed
 
 
 class TestChangeBasisMemo:
