@@ -244,20 +244,20 @@ def build_from_mixture(
     total = float(w.sum())
     if abs(total - 1.0) > tolerances.TRACE_TOL:
         raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
-    return _mixed(shape, w, (ea.alpha.entries for ea in arrangements), label)
+    return _mixed(shape, (wi * ea.alpha.entries for wi, ea in zip(w, arrangements)), label)
 
 
-def _mixed(
-    shape: ScreenConfiguration, weights: np.ndarray, matrices: Iterable[np.ndarray], label: str | None
-) -> ExperimentalArrangement:
-    """sum_i w_i m_i, summed into one accumulator and proven once.
+def _mixed(shape: ScreenConfiguration, terms: Iterable[np.ndarray], label: str | None) -> ExperimentalArrangement:
+    """sum_i w_i m_i from its weighted terms w_i m_i, summed into one
+    accumulator and proven once.
 
     Each term is valid by construction (an arrangement, or |v><v| of a unit
     vector) and the weights are convex; the result's trace check covers both.
     """
     acc = np.zeros((shape.dimension, shape.dimension), dtype=np.complex128)
-    for wi, m in zip(weights, matrices):
-        acc += wi * m
+    for term in terms:
+        acc += term
+        del term  # freed before the next term is made
     return _valid_result(DenseOperatorTensor(shape, _fresh(acc)), label)
 
 

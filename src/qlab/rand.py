@@ -85,6 +85,13 @@ def random_orthogonal_family(
     return family
 
 
+def _weighted_outer(weight: float, v: np.ndarray) -> np.ndarray:
+    """weight * |v><v|, scaled in place: the bits of weight * np.outer(v, v.conj())."""
+    m = np.outer(v, v.conj())
+    m *= weight
+    return m
+
+
 def random_arrangement(
     shape: ScreenConfiguration,
     rng: int | np.random.Generator,
@@ -94,7 +101,8 @@ def random_arrangement(
     """Random valid arrangement: a Dirichlet-weighted mixture of rank-one terms.
 
     Draws the weights, then one unit vector per term, and sums w_i |v_i><v_i|
-    with no per-term arrangement or check: each term is valid by construction.
+    with no per-term arrangement or check: each term is valid by construction,
+    and is scaled where it is made, so no weighted copy of it is held.
     """
     rng = make_rng(rng)
     if terms is None:
@@ -102,5 +110,4 @@ def random_arrangement(
     if terms < 1:
         raise ValueError(f"terms must be positive, got {terms}")
     weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.ones(1)
-    vectors = (random_state_vector(shape.dimension, rng) for _ in range(terms))
-    return _mixed(shape, weights, (np.outer(v, v.conj()) for v in vectors), label)
+    return _mixed(shape, (_weighted_outer(w, random_state_vector(shape.dimension, rng)) for w in weights), label)

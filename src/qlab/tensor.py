@@ -6,7 +6,9 @@ matrix algebra and multi-index access describe the same object. Entries are
 immutable after construction, in a pickled or deep copy too, and a copy
 restored from out-of-band pickle buffers views none of them; every
 operation returns a new tensor. Every joint tensor, and every product of two
-marginals, comes from one broadcast kernel, `_kron`.
+marginals, comes from one broadcast kernel, `_kron`, which builds the whole
+product or a range of its rows; `_row_blocks` splits rows evenly for the
+routines that work one row block at a time.
 """
 
 from __future__ import annotations
@@ -138,14 +140,37 @@ class DenseOperatorTensor:
         return self.entries.diagonal()
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices, without its Python-level wrapper.
+def _kron(a: np.ndarray, b: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of np.kron(a, b) for square a and b, without its Python-level wrapper.
 
-    The same broadcast multiply that np.kron runs after its expand_dims, so
-    the bits are the same; a fresh, writable (n*m, n*m) array.
+    Row i*m + r of the product (m = len(b)) holds a[i, j] * b[r, c] at column
+    j*m + c: the same broadcast multiply that np.kron runs after its
+    expand_dims, so the bits are the same. Whole rows of `a` take one
+    multiply; a range that starts or ends inside one takes one more at that
+    end. A fresh, writable (len(range), n*m) array; the default is all of it.
     """
     n, m = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    lo, hi, _ = rows.indices(n * m)
+    out = np.empty((hi - lo, n * m), dtype=np.result_type(a, b))
+    k = lo
+    while k < hi:
+        i, r = divmod(k, m)
+        whole = (hi - k) // m if r == 0 else 0
+        i1, r1 = (i + whole, m) if whole else (i + 1, min(m, r + hi - k))
+        stop = k + (i1 - i) * (r1 - r)
+        block = out[k - lo : stop - lo].reshape(i1 - i, r1 - r, n, m)
+        np.multiply(a[i:i1, None, :, None], b[None, r:r1, None, :], out=block)
+        k = stop
+    return out
+
+
+def _row_blocks(n: int, target: int) -> list[slice]:
+    """Rows 0..n in ceil(n / target) blocks of even size, so that none holds
+    fewer than target // 2 rows when n >= target: BLAS may take another path
+    for a block of one or a few rows, and give other bits."""
+    count = -(-n // target)
+    edges = [n * j // count for j in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def tensor_product(a: DenseOperatorTensor, b: DenseOperatorTensor) -> DenseOperatorTensor:

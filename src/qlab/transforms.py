@@ -9,6 +9,11 @@ is read:
 
     transformed = matrix @ alpha @ matrix^dagger
 
+Both products of a dense matrix are computed in row blocks of about 256
+rows, split evenly, which give the bits of the whole products; a
+conjugation holds one N^2 array beyond its input and result (the
+matrix^dagger, or for the adjoint the array it fills), plus a row block.
+
 A transformation weakly remembers the last arrangement it moved and the
 result, so a second change_basis of the same arrangement (the verifier's,
 after its caller's) returns that result instead of computing it again. The
@@ -45,6 +50,7 @@ from .tensor import (
     _fresh,
     _frozen_complex_matrix,
     _restore_frozen,
+    _row_blocks,
     _unchecked,
     _unit_norm,
     partial_trace,
@@ -156,16 +162,38 @@ class BasisTransformation:
         return self._unitary_by_construction(self.target_shape, self.source_shape, built)
 
 
+_CONJUGATE_ROWS = 256  # target rows per block of a conjugation's products; up to N = 256 one block
+
+
 def _conjugate(entries: np.ndarray, bt: BasisTransformation, adjoint: bool = False) -> np.ndarray:
     """bt.matrix @ entries @ bt.matrix^dagger, or with `adjoint` bt.matrix^dagger
-    @ entries @ bt.matrix, which undoes it; an index move for a permutation."""
+    @ entries @ bt.matrix, which undoes it; an index move for a permutation.
+
+    A dense matrix is multiplied in row blocks (see _row_blocks; one block
+    up to 256 rows), which give the bits of the whole products: the first product
+    is the result array (the adjoint fills it from column blocks of the
+    matrix, so no conjugated copy is made), then each of its row blocks is
+    overwritten by its product with the right factor. Beyond the result the
+    forward direction holds the matrix^dagger and a row block, the adjoint
+    only a row block.
+    """
     src = bt._source_index
-    if src is None:
-        lam = bt.matrix
-        return lam.conj().T @ entries @ lam if adjoint else lam @ entries @ lam.conj().T
+    if src is not None:
+        if adjoint:
+            src = np.argsort(src)
+        return entries[np.ix_(src, src)]
+    lam = bt.matrix
+    blocks = _row_blocks(len(lam), _CONJUGATE_ROWS)
     if adjoint:
-        src = np.argsort(src)
-    return entries[np.ix_(src, src)]
+        out = np.empty(entries.shape, dtype=np.complex128)
+        for rows in blocks:
+            np.matmul(lam[:, rows].conj().T, entries, out=out[rows])
+        right = lam
+    else:
+        out, right = lam @ entries, lam.conj().T
+    for rows in blocks:
+        out[rows] = out[rows] @ right
+    return out
 
 
 def change_basis(ea: ExperimentalArrangement, bt: BasisTransformation) -> ExperimentalArrangement:

@@ -124,25 +124,27 @@ def render_arrangement_svg(
     parts.append(f"  <title>{escape(title)}</title>")
     parts.append('  <rect width="100%" height="100%" fill="#ffffff"/>')
 
+    # every node's coordinates, formatted once for the detectors and every power drawn through them
+    xs = [_fmt(x) for x in plan.screen_x]
+    nodes_of = [[(x, _fmt(y)) for y in ys] for x, ys in zip(xs, plan.detector_y)]
     parts.append('  <g class="screens">')
     for j in range(1, n + 1):
-        x = plan.screen_x[j - 1]
+        x = xs[j - 1]
         ys = plan.detector_y[j - 1]
         top = min(ys) - 14.0
         bottom = max(ys) + 14.0
         parts.append(
-            f'    <line class="screen" x1="{_fmt(x)}" y1="{_fmt(top)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(bottom)}" stroke="#888888" stroke-width="2"/>'
+            f'    <line class="screen" x1="{x}" y1="{_fmt(top)}" '
+            f'x2="{x}" y2="{_fmt(bottom)}" stroke="#888888" stroke-width="2"/>'
         )
-        for k in range(1, shape.detector_counts[j - 1] + 1):
-            cx, cy = plan.node(j, k)
+        for cx, cy in nodes_of[j - 1]:
             parts.append(
-                f'    <circle class="detector" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                f'    <circle class="detector" cx="{cx}" cy="{cy}" '
                 'r="4" fill="#444444"/>'
             )
         if options.show_labels:
             parts.append(
-                f'    <text class="screen-label" x="{_fmt(x)}" y="{_fmt(bottom + 18.0)}" '
+                f'    <text class="screen-label" x="{x}" y="{_fmt(bottom + 18.0)}" '
                 f'font-size="12" text-anchor="middle" fill="#444444">S{j}</text>'
             )
     parts.append("  </g>")
@@ -151,28 +153,28 @@ def render_arrangement_svg(
     for rank, (index, potentia) in enumerate(depicted_powers(ea, options)):
         color = PALETTE[rank % len(PALETTE)]
         opacity = _fmt_opacity(min(1.0, max(MIN_OPACITY, potentia)))
-        nodes = [plan.node(j, k) for j, k in enumerate(index, start=1)]
+        nodes = [nodes_of[j][k - 1] for j, k in enumerate(index)]
         if n == 1:
             (cx, cy) = nodes[0]
             parts.append(
-                f'    <circle class="power" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="9" '
+                f'    <circle class="power" cx="{cx}" cy="{cy}" r="9" '
                 f'fill="{color}" fill-opacity="{opacity}"/>'
             )
         elif n == 2:
             (x1, y1), (x2, y2) = nodes
             parts.append(
-                f'    <line class="power" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{color}" stroke-width="3" '
+                f'    <line class="power" x1="{x1}" y1="{y1}" '
+                f'x2="{x2}" y2="{y2}" stroke="{color}" stroke-width="3" '
                 f'stroke-opacity="{opacity}"/>'
             )
         else:
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in nodes)
+            pts = " ".join(f"{x},{y}" for x, y in nodes)
             parts.append(
                 f'    <polygon class="power" points="{pts}" fill="{color}" '
                 f'fill-opacity="{opacity}" stroke="{color}" stroke-opacity="{opacity}"/>'
             )
         if options.show_labels:
-            lx, ly = nodes[0]
+            lx, ly = plan.node(1, index[0])
             parts.append(
                 f'    <text class="potentia" x="{_fmt(lx + 8.0)}" y="{_fmt(ly - 8.0)}" '
                 f'font-size="11" fill="#222222">{_fmt_opacity(potentia)}</text>'

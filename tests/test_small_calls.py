@@ -2,8 +2,8 @@
 
 A random arrangement sums its weighted rank-one terms into one accumulator
 and is checked once, as a mixture; every joint tensor comes from one
-broadcast kernel, tensor._kron; and the O(N^2) result checks reduce through
-ndarray methods. These tests compare each with the longer route by bytes or
+broadcast kernel, tensor._kron, whole or by row ranges; and the O(N^2)
+result checks reduce through ndarray methods. These tests compare each with the longer route by bytes or
 by float hex, count the checks a random arrangement makes, and count numpy's
 Python-level reduction wrappers in one case of the many_small benchmark.
 """
@@ -66,7 +66,7 @@ def test_tensor_product_is_np_kron_bit_for_bit(counts_a, counts_b):
 
 
 @pytest.mark.parametrize("layout", ["writable", "read-only", "fortran", "transposed", "strided"])
-@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 5)])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3)])
 def test_kron_kernel_is_np_kron_bit_for_bit(n, m, layout):
     rng = np.random.default_rng(n * 10 + m)
     a, b = _complex(rng, n, n), _complex(rng, m, m)
@@ -79,9 +79,11 @@ def test_kron_kernel_is_np_kron_bit_for_bit(n, m, layout):
         a, b = a.T, b.T
     elif layout == "strided":
         a, b = _complex(rng, 2 * n, 2 * n)[::2, ::2], _complex(rng, 2 * m, 2 * m)[::2, ::2]
-    product = _kron(a, b)
+    product, whole = _kron(a, b), np.kron(a, b)
     assert product.shape == (n * m, n * m) and product.flags.writeable
-    assert product.tobytes() == np.kron(a, b).tobytes()
+    assert product.tobytes() == whole.tobytes()
+    for lo, hi in itertools.combinations(range(n * m + 1), 2):  # every row range, across rows of a or inside one
+        assert _kron(a, b, slice(lo, hi)).tobytes() == whole[lo:hi].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
