@@ -82,7 +82,7 @@ class ExperimentalArrangement:
     def potentia_table(self) -> np.ndarray:
         """Real diagonal in flat order."""
         diag = self.alpha.diagonal()
-        worst = float(np.abs(diag.imag).max()) if diag.size else 0.0
+        worst = float(np.abs(diag.imag).max())
         if worst > tolerances.DIAGONAL_TOL:
             raise NumericError(f"diagonal has imaginary part {worst:.3e}")
         return diag.real.copy()

@@ -5,10 +5,10 @@ cut and taking its SVD yields the Schmidt form: orthonormal vectors on each
 side paired by nonnegative coefficients. Rank one across a cut means the two
 sides are uncorrelated; rank one across every sequential cut means the state
 is a product of single-screen factors. For arrangements (pure or mixed) a
-direct marginal comparison tests product structure across a cut; it builds
-the product of the marginals one row block at a time, so it holds one N^2
-array beyond its input and the marginals (the reordered arrangement), plus a
-row block.
+direct marginal comparison tests product structure across a cut; it reads
+the arrangement where it lies and builds the product of the marginals one
+row block at a time, so it holds no N^2 array beyond its input and the
+marginals, plus a row block.
 
 A state is proven once, where it comes in (length and unit norm, then the
 cut). One kernel does the arithmetic of every routine: a rank profile runs it
@@ -28,8 +28,7 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement
 from .errors import DimensionError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _fresh, _kron, _row_blocks, _unit_norm, partial_trace
-from .transforms import BasisTransformation, _conjugate
+from .tensor import _kron, _reordered, _row_blocks, _unit_norm, partial_trace
 
 MAX_PROFILE_SCREENS = 12
 _PRODUCT_BLOCK = 1 << 16  # entries per row block of the product test's residual (1 MiB)
@@ -156,22 +155,20 @@ def is_fully_separable_pure(
 def is_product_across(ea: ExperimentalArrangement, cut: Bipartition) -> tuple[bool, float]:
     """Marginal product test for any valid arrangement.
 
-    Reorders screens to (left..., right...), forms both marginals, and
-    reports the largest entrywise gap between the arrangement and the tensor
-    product of its marginals. The product is built one row block of about
-    _PRODUCT_BLOCK entries at a time, and the gap is the maximum over the
-    blocks, which is the maximum over the whole matrix; up to N = 256 it is
-    one block.
+    Reports the largest entrywise gap between the arrangement, read with its
+    screens in (left..., right...) order, and the tensor product of its
+    marginals. Each block of about _PRODUCT_BLOCK entries pairs one row of the
+    left marginal with rows of the right one, against the arrangement's rows
+    gathered by source position; the gap is the maximum over the blocks.
     """
     cut.check_against(ea.shape)
-    bt = BasisTransformation.screen_permutation(ea.shape, cut.left + cut.right)
-    arranged = DenseOperatorTensor(bt.target_shape, _fresh(_conjugate(ea.alpha.entries, bt)))
-    k = len(cut.left)
-    left = partial_trace(arranged, range(k + 1, ea.shape.num_screens + 1)).entries
-    right = partial_trace(arranged, range(1, k + 1)).entries
-    n = ea.dimension
-    residual = 0.0
-    for rows in _row_blocks(n, max(1, _PRODUCT_BLOCK // n)):
-        product = _kron(left, right, rows)
-        residual = max(residual, float(np.abs(np.subtract(arranged.entries[rows], product, out=product)).max()))
+    left = partial_trace(ea.alpha, cut.right).entries
+    right = partial_trace(ea.alpha, cut.left).entries
+    _, src = _reordered(ea.shape, cut.left + cut.right)
+    m, residual = len(right), 0.0
+    blocks = _row_blocks(m, max(1, _PRODUCT_BLOCK // ea.dimension))
+    for i, rows in itertools.product(range(len(left)), blocks):
+        product = _kron(left[i : i + 1], right[rows])
+        given = ea.alpha.entries[np.ix_(src[i * m + rows.start : i * m + rows.stop], src)]
+        residual = max(residual, float(np.abs(np.subtract(given, product, out=product)).max()))
     return residual <= tolerances.PRODUCT_TOL, residual

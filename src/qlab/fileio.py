@@ -28,8 +28,8 @@ stored values so round trips stay exact.
 A malformed file is reported at its first faulty record, in file order, as
 `entries[i].<field>` or `amplitudes[i].<field>`; within a record the checks
 run in the order object, index fields, duplicate, re, im. An index field that
-is not a list of integers is a parse error; a list of integers of the wrong
-length or out of range gets ScreenConfiguration's DimensionError. An integer
+is not a list of integers is a parse error; one of the wrong length or out of
+range is a dimension error, prefixed with its record. An integer
 too large for a float in re or im is a parse error, as are non-UTF-8 text,
 JSON nested too deep to decode, and a label outside XML 1.0 text (lone
 surrogates, C0 controls but tab, LF, CR), which the writers refuse too.
@@ -166,7 +166,10 @@ def _read_records(records: list, fmt: _Format, shape: ScreenConfiguration, dense
             if flat is None:
                 if type(raw) is not list or any(type(k) is not int for k in raw):
                     raise ParseError(f"{fmt.records}[{i}].{field} must be a list of integers")
-                flat = shape.flat_index(raw)  # raises the DimensionError of a wrong length or range
+                try:
+                    flat = shape.flat_index(raw)  # raises the DimensionError of a wrong length or range
+                except DimensionError as exc:
+                    raise DimensionError(f"{fmt.records}[{i}].{field}: {exc}") from None
             key = key * n + flat
         if key in seen:
             raise ParseError(f"{fmt.records}[{i}]: " + fmt.duplicate.format(**record))

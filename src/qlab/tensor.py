@@ -6,8 +6,8 @@ matrix algebra and multi-index access describe the same object. Entries are
 immutable after construction, in a pickled or deep copy too, and a copy
 restored from out-of-band pickle buffers views none of them; every
 operation returns a new tensor. Every joint tensor, and every product of two
-marginals, comes from one broadcast kernel, `_kron`, which builds the whole
-product or a range of its rows; `_row_blocks` splits rows evenly for the
+marginals, comes from one broadcast kernel, `_kron`, which also builds rows
+of the product from rows of a factor; `_row_blocks` splits rows evenly for the
 routines that work one row block at a time.
 """
 
@@ -140,28 +140,23 @@ class DenseOperatorTensor:
         return self.entries.diagonal()
 
 
-def _kron(a: np.ndarray, b: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of np.kron(a, b) for square a and b, without its Python-level wrapper.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its Python-level wrapper.
 
     Row i*m + r of the product (m = len(b)) holds a[i, j] * b[r, c] at column
     j*m + c: the same broadcast multiply that np.kron runs after its
-    expand_dims, so the bits are the same. Whole rows of `a` take one
-    multiply; a range that starts or ends inside one takes one more at that
-    end. A fresh, writable (len(range), n*m) array; the default is all of it.
+    expand_dims, so the bits are the same, also for rows of a factor:
+    _kron(a[i:i+1], b[r0:r1]) is rows i*m + r0 to i*m + r1. A fresh, writable array.
     """
-    n, m = len(a), len(b)
-    lo, hi, _ = rows.indices(n * m)
-    out = np.empty((hi - lo, n * m), dtype=np.result_type(a, b))
-    k = lo
-    while k < hi:
-        i, r = divmod(k, m)
-        whole = (hi - k) // m if r == 0 else 0
-        i1, r1 = (i + whole, m) if whole else (i + 1, min(m, r + hi - k))
-        stop = k + (i1 - i) * (r1 - r)
-        block = out[k - lo : stop - lo].reshape(i1 - i, r1 - r, n, m)
-        np.multiply(a[i:i1, None, :, None], b[None, r:r1, None, :], out=block)
-        k = stop
-    return out
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def _reordered(shape: ScreenConfiguration, order: Sequence[int]) -> tuple[ScreenConfiguration, np.ndarray]:
+    """Screens reordered so target screen j is source screen order[j-1] (a
+    permutation of 1..n), and the source flat position of each target one."""
+    axes = [int(p) - 1 for p in order]
+    target = ScreenConfiguration(tuple(shape.detector_counts[a] for a in axes))
+    return target, np.arange(shape.dimension).reshape(shape.detector_counts).transpose(axes).ravel()
 
 
 def _row_blocks(n: int, target: int) -> list[slice]:

@@ -49,6 +49,7 @@ from .tensor import (
     _check_capacity,
     _fresh,
     _frozen_complex_matrix,
+    _reordered,
     _restore_frozen,
     _row_blocks,
     _unchecked,
@@ -56,14 +57,6 @@ from .tensor import (
     partial_trace,
     tensor_product,
 )
-
-
-def _reordered(shape: ScreenConfiguration, order: Sequence[int]) -> tuple[ScreenConfiguration, np.ndarray]:
-    """Screens reordered so target screen j is source screen order[j-1] (a
-    permutation of 1..n), and the source flat position of each target one."""
-    axes = [int(p) - 1 for p in order]
-    target = ScreenConfiguration(tuple(shape.detector_counts[a] for a in axes))
-    return target, np.arange(shape.dimension).reshape(shape.detector_counts).transpose(axes).ravel()
 
 
 def _same_dimension(source: ScreenConfiguration, target: ScreenConfiguration) -> None:

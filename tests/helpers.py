@@ -274,7 +274,10 @@ def _loop_read_index(record: dict, field: str, shape: qlab.ScreenConfiguration, 
     raw = record.get(field)
     if not isinstance(raw, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in raw):
         raise qlab.ParseError(f"{where}.{field} must be a list of integers")
-    return shape.flat_index(raw)
+    try:
+        return shape.flat_index(raw)
+    except qlab.DimensionError as exc:
+        raise qlab.DimensionError(f"{where}.{field}: {exc}") from None
 
 
 def _loop_read_real(record: dict, field: str, where: str, default: float | None = None) -> float:

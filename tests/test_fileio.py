@@ -289,9 +289,9 @@ class TestFirstFaultyRecordWins:
             ([A, '{"bra": [1, 2], "ket": [2, 1]}', B, B], "entries[1].re is missing"),
             ([A, B, '{"bra": [1, true], "ket": [1, 1], "re": 0.5}', "3"], "entries[2].bra must be a list of integers"),
             ([C, '{"bra": [1, 2], "ket": [3, 1], "re": 0.5}', '{"bra": [1], "ket": [1, 1], "re": 0.5}'],
-             "index 3 out of range 1..2 on screen 1"),
+             "entries[1].ket: index 3 out of range 1..2 on screen 1"),
             ([C, '{"bra": [1, 2], "ket": [1, 2, 1], "re": 0.5}', '{"bra": [5, 5], "ket": [1, 1], "re": 0.5}'],
-             "multi-index (1, 2, 1) has 3 components, expected 2"),
+             "entries[1].ket: multi-index (1, 2, 1) has 3 components, expected 2"),
             (['{"bra": [1, 1], "ket": [1, 1], "re": 0.5, "im": "0"}', '{"bra": [1.0, 1], "ket": [1, 1], "re": 0.5}'],
              "entries[0].im must be a number"),
             ([A, C, '{"bra": [1, 2], "ket": [2, 1], "re": "x"}', A], "entries[2]: duplicate entry for bra index [1, 2], ket index [2, 1]"),

@@ -2,9 +2,9 @@
 
 A random arrangement sums its weighted rank-one terms into one accumulator
 and is checked once, as a mixture; every joint tensor comes from one
-broadcast kernel, tensor._kron, whole or by row ranges; and the O(N^2)
-result checks reduce through ndarray methods. These tests compare each with the longer route by bytes or
-by float hex, count the checks a random arrangement makes, and count numpy's
+broadcast kernel, tensor._kron, which gives rows of the product from rows of
+either factor; and the O(N^2) result checks reduce through ndarray methods.
+These tests compare each with the longer route by bytes or by float hex, count the checks a random arrangement makes, and count numpy's
 Python-level reduction wrappers in one case of the many_small benchmark.
 """
 
@@ -82,8 +82,10 @@ def test_kron_kernel_is_np_kron_bit_for_bit(n, m, layout):
     product, whole = _kron(a, b), np.kron(a, b)
     assert product.shape == (n * m, n * m) and product.flags.writeable
     assert product.tobytes() == whole.tobytes()
-    for lo, hi in itertools.combinations(range(n * m + 1), 2):  # every row range, across rows of a or inside one
-        assert _kron(a, b, slice(lo, hi)).tobytes() == whole[lo:hi].tobytes()
+    for i, (r0, r1) in itertools.product(range(n), itertools.combinations(range(m + 1), 2)):  # inside a row of a
+        assert _kron(a[i : i + 1], b[r0:r1]).tobytes() == whole[i * m + r0 : i * m + r1].tobytes()
+    for i0, i1 in itertools.combinations(range(n + 1), 2):  # whole rows of a
+        assert _kron(a[i0:i1], b).tobytes() == whole[i0 * m : i1 * m].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
