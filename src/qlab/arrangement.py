@@ -19,12 +19,11 @@ import numpy as np
 from . import tolerances
 from .errors import DimensionError, NumericError, ValidationError
 from .screens import ScreenConfiguration
-from .tensor import DenseOperatorTensor, _fresh, _unchecked, _unit_norm
+from .tensor import _BLOCK_ENTRIES, DenseOperatorTensor, _fresh, _row_blocks, _unchecked, _unit_norm
 
 SAMPLER_ALGORITHM = "numpy-pcg64-multinomial"
 # outside XML 1.0 Char (section 2.2): C0 controls but tab, LF, CR; surrogates; U+FFFE, U+FFFF
 _NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-_HERMITIAN_BLOCK = 1 << 16  # entries per row block of the Hermiticity residual (1 MiB)
 
 
 def _label_fault(label: str | None) -> str | None:
@@ -118,11 +117,11 @@ def _hermiticity_residual(a: np.ndarray) -> float:
     """max |a - a^dagger|, taken over row blocks of the upper triangle.
 
     In floating point |x - conj(y)| = |y - conj(x)|, so the upper triangle
-    gives the full maximum bit for bit. A block holds about _HERMITIAN_BLOCK
-    entries; up to N = 256 the whole matrix is one block.
+    gives the full maximum bit for bit, for any split into row blocks. A block
+    holds about _BLOCK_ENTRIES entries; up to N = 256 the whole matrix is one.
     """
-    rows = max(1, _HERMITIAN_BLOCK // len(a))
-    return max(float(np.abs(a[i : i + rows, i:] - a[i:, i : i + rows].conj().T).max()) for i in range(0, len(a), rows))
+    blocks = _row_blocks(len(a), max(1, _BLOCK_ENTRIES // len(a)))
+    return max(float(np.abs(a[r, r.start :] - a[r.start :, r].conj().T).max()) for r in blocks)
 
 
 def _structural_checks(a: np.ndarray) -> tuple[IsaCheck, ...]:

@@ -113,14 +113,12 @@ def _validate(args, ea):
 def _potentia(args, ea):
     fields = [("factorization", _key(ea.shape.detector_counts)), ("degree", ea.dimension)]
     if args.power is not None:
+        if args.min_potentia is not None:
+            raise ParseError("potentia: --power cannot be combined with --min-potentia")
         return fields + [(f"potentia[{_key(args.power)}]", ea.potentia(args.power))], True
-    table = ea.potentia_table()
-    fields += [
-        (f"potentia[{_key(index)}]", value)
-        for index, value in zip(ea.shape.all_indices(), table.tolist())
-        if value >= args.min_potentia
-    ]
-    return fields, True
+    least = 0.0 if args.min_potentia is None else args.min_potentia
+    table = zip(ea.shape.all_indices(), ea.potentia_table().tolist())
+    return fields + [(f"potentia[{_key(index)}]", value) for index, value in table if value >= least], True
 
 
 def _change_basis(args, ea):
@@ -254,7 +252,7 @@ COMMANDS = {
     "validate": ("check an arrangement file against the validity rules", "unvalidated", [], _validate),
     "potentia": ("print the potentia table or one entry", "arrangement", [
         _arg("--power", type=_index_list, help="single 1-based multi-index, e.g. 1,2,1,2"),
-        _arg("--min-potentia", type=_fraction, default=0.0, help="omit table rows below this value"),
+        _arg("--min-potentia", type=_fraction, help="omit table rows below this value (default 0)"),
     ], _potentia),
     "change-basis": ("apply a unitary change of description", "arrangement", [
         _OUT,

@@ -7,8 +7,8 @@ sides are uncorrelated; rank one across every sequential cut means the state
 is a product of single-screen factors. For arrangements (pure or mixed) a
 direct marginal comparison tests product structure across a cut; it reads
 the arrangement where it lies and builds the product of the marginals one
-row block at a time, so it holds no N^2 array beyond its input and the
-marginals, plus a row block.
+block of whole rows at a time, so it holds no N^2 array beyond its input and
+the marginals, plus a block.
 
 A state is proven once, where it comes in (length and unit norm, then the
 cut). One kernel does the arithmetic of every routine: a rank profile runs it
@@ -28,10 +28,9 @@ from . import tolerances
 from .arrangement import ExperimentalArrangement
 from .errors import DimensionError
 from .screens import ScreenConfiguration
-from .tensor import _kron, _reordered, _row_blocks, _unit_norm, partial_trace
+from .tensor import _BLOCK_ENTRIES, _kron, _reordered, _row_blocks, _unit_norm, partial_trace
 
 MAX_PROFILE_SCREENS = 12
-_PRODUCT_BLOCK = 1 << 16  # entries per row block of the product test's residual (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -157,18 +156,18 @@ def is_product_across(ea: ExperimentalArrangement, cut: Bipartition) -> tuple[bo
 
     Reports the largest entrywise gap between the arrangement, read with its
     screens in (left..., right...) order, and the tensor product of its
-    marginals. Each block of about _PRODUCT_BLOCK entries pairs one row of the
-    left marginal with rows of the right one, against the arrangement's rows
-    gathered by source position; the gap is the maximum over the blocks.
+    marginals, walked as a grid of blocks of about _BLOCK_ENTRIES entries:
+    whole rows of the left marginal times all of the right one, or one row of
+    the left times a row block of the right, each against the arrangement's
+    rows gathered by source position. The gap is the maximum over the blocks.
     """
     cut.check_against(ea.shape)
     left = partial_trace(ea.alpha, cut.right).entries
     right = partial_trace(ea.alpha, cut.left).entries
     _, src = _reordered(ea.shape, cut.left + cut.right)
-    m, residual = len(right), 0.0
-    blocks = _row_blocks(m, max(1, _PRODUCT_BLOCK // ea.dimension))
-    for i, rows in itertools.product(range(len(left)), blocks):
-        product = _kron(left[i : i + 1], right[rows])
-        given = ea.alpha.entries[np.ix_(src[i * m + rows.start : i * m + rows.stop], src)]
+    grid, rows, residual = src.reshape(len(left), -1), max(1, _BLOCK_ENTRIES // ea.dimension), 0.0
+    for li, ri in itertools.product(_row_blocks(len(left), max(1, rows // len(right))), _row_blocks(len(right), rows)):
+        product = _kron(left[li], right[ri])
+        given = ea.alpha.entries[np.ix_(grid[li, ri].ravel(), src)]
         residual = max(residual, float(np.abs(np.subtract(given, product, out=product)).max()))
     return residual <= tolerances.PRODUCT_TOL, residual

@@ -2,6 +2,8 @@
 
 Everything routes through a PCG64 generator so a fixed seed reproduces the
 same objects on every run. Functions accept either a seed or a Generator.
+One Haar draw, random_unitary, gives the unitaries, the projectors (its
+first columns) and the orthogonal families (its column blocks).
 
 A random arrangement is proven once: its weighted rank-one terms are summed
 into one accumulator, and only the mixture gets the O(N^2) result checks.
@@ -28,41 +30,27 @@ def random_state_vector(dim: int, rng: int | np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _haar_columns(dim: int, rank: int, rng: int | np.random.Generator) -> np.ndarray:
-    """The first `rank` columns of random_unitary(dim, rng), in O(dim^2 rank).
+def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with phase correction (Mezzadri 2007).
 
-    Draws the same full Gaussian matrix, so the generator ends in the same
-    state, but takes the QR of its first `rank` columns only. Householder QR
-    builds column k of Q from the first k columns of the input, so the
-    columns agree with the full route up to rounding. Only the kept columns
-    are stored as complex numbers: normal() never returns -0.0, so filling
-    real and imaginary parts gives a + 1j*b bit for bit.
+    The complex Gaussian is filled from its real and imaginary draws in
+    place: normal() never returns -0.0, so this gives a + 1j*b bit for bit.
     """
     rng = make_rng(rng)
-    z = np.empty((dim, rank), dtype=np.complex128, order="F")
-    z.real = rng.normal(size=(dim, dim))[:, :rank]
-    z.imag = rng.normal(size=(dim, dim))[:, :rank]
+    z = np.empty((dim, dim), dtype=np.complex128, order="F")
+    z.real = rng.normal(size=(dim, dim))
+    z.imag = rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q *= d / np.abs(d)
     return q
 
 
-def random_unitary(dim: int, rng: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase correction (Mezzadri 2007)."""
-    return _haar_columns(dim, dim, rng)
-
-
 def random_projector(dim: int, rank: int, rng: int | np.random.Generator) -> np.ndarray:
-    """Rank-r projector C C^dagger, C the first r columns of a Haar unitary.
-
-    It uses the same draws as random_unitary(dim, rng), but a QR of r
-    columns only. The result therefore differs from the projector built
-    from the full unitary's columns at rounding level (about 2e-16).
-    """
+    """Rank-r projector C C^dagger, C the first r columns of random_unitary(dim, rng)."""
     if not 0 < rank <= dim:
         raise ValueError(f"rank must be in 1..{dim}, got {rank}")
-    cols = _haar_columns(dim, rank, rng)
+    cols = random_unitary(dim, rng)[:, :rank]
     return cols @ cols.conj().T
 
 

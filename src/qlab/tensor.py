@@ -7,8 +7,10 @@ immutable after construction, in a pickled or deep copy too, and a copy
 restored from out-of-band pickle buffers views none of them; every
 operation returns a new tensor. Every joint tensor, and every product of two
 marginals, comes from one broadcast kernel, `_kron`, which also builds rows
-of the product from rows of a factor; `_row_blocks` splits rows evenly for the
-routines that work one row block at a time.
+of the product from rows of the factors. `_row_blocks` splits rows evenly
+for the routines that work one row block at a time: a conjugation's
+products, and blocks of about `_BLOCK_ENTRIES` entries for the Hermiticity
+residual and the grid of the product test.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Row i*m + r of the product (m = len(b)) holds a[i, j] * b[r, c] at column
     j*m + c: the same broadcast multiply that np.kron runs after its
-    expand_dims, so the bits are the same, also for rows of a factor:
-    _kron(a[i:i+1], b[r0:r1]) is rows i*m + r0 to i*m + r1. A fresh, writable array.
+    expand_dims, so the bits are the same, also for rows of the factors:
+    _kron(a[i0:i1], b[r0:r1]) is rows i*m + r for i in i0..i1, r in r0..r1, in
+    that order. A fresh, writable array.
     """
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
@@ -157,6 +160,9 @@ def _reordered(shape: ScreenConfiguration, order: Sequence[int]) -> tuple[Screen
     axes = [int(p) - 1 for p in order]
     target = ScreenConfiguration(tuple(shape.detector_counts[a] for a in axes))
     return target, np.arange(shape.dimension).reshape(shape.detector_counts).transpose(axes).ravel()
+
+
+_BLOCK_ENTRIES = 1 << 16  # entries per block of an elementwise residual (1 MiB)
 
 
 def _row_blocks(n: int, target: int) -> list[slice]:

@@ -156,6 +156,11 @@ class TestPotentia:
         assert "potentia[1]" in report
         assert "potentia[2]" not in report
 
+    @pytest.mark.parametrize("threshold", ["0.9", "0"])
+    def test_power_refuses_min_potentia(self, capsys, pair_file, threshold):
+        rc, out, err = run(capsys, "potentia", "--in", pair_file, "--power", "1,1,1,1", "--min-potentia", threshold)
+        assert (rc, out, err) == (2, "", "error[parse]: potentia: --power cannot be combined with --min-potentia\n")
+
 
 class TestTransformCommands:
     def test_change_basis_random_unitary(self, capsys, pair_file, tmp_path):

@@ -1,7 +1,7 @@
 """The dense layer allocates nothing of full size that it does not return.
 
-The Hermiticity residual is taken over row blocks, Haar draws store only
-their kept columns as complex numbers, fresh results (the parsed matrix
+The Hermiticity residual is taken over row blocks, a Haar draw fills its
+complex Gaussian in place, fresh results (the parsed matrix
 included) are frozen where they are made so that DenseOperatorTensor keeps
 them without a copy, a random arrangement scales each term where it is made,
 and the basis-invariance verifier reuses its caller's moved arrangement,
@@ -9,8 +9,8 @@ pulls it back by the adjoint without copying the transformation, and
 subtracts into what it pulled back. A conjugation multiplies in row blocks,
 holding beyond its result at most the conjugated matrix and one row block;
 the product test reads its input where it lies, with no reordered copy, and
-builds the product of its marginals one row block at a time and subtracts
-the gathered input rows into it. Projectors
+builds the product of its marginals one block of whole rows at a time and
+subtracts the gathered input rows into it. Projectors
 valid by construction skip the product check, a permutation's repr builds
 no matrix, and an in-band unpickle keeps pickle's own buffer. These tests
 pin that every value stays bit-identical to the full-size expressions, and
@@ -30,8 +30,8 @@ import pytest
 import qlab
 from qlab import BasisTransformation, DenseOperatorTensor, configuration
 from qlab import arrangement, entanglement, transforms
-from qlab.rand import _haar_columns, make_rng
-from qlab.tensor import _fresh, _kron
+from qlab.rand import make_rng
+from qlab.tensor import _BLOCK_ENTRIES, _fresh, _kron
 
 
 def traced_peak(call):
@@ -53,14 +53,14 @@ def matrix(n, kind):
     return a if kind == "random" else a + a.conj().T
 
 
-@pytest.mark.parametrize("block", [arrangement._HERMITIAN_BLOCK, 64 * 64, 1], ids=["block", "64x64", "rows"])
+@pytest.mark.parametrize("block", [_BLOCK_ENTRIES, 64 * 64, 1], ids=["block", "64x64", "rows"])
 @pytest.mark.parametrize("kind", ["random", "hermitian", "huge"])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 257, 1024])
 def test_blocked_hermiticity_residual_is_the_full_maximum_bit_for_bit(n, kind, block):
     a = matrix(n, kind)
     with np.errstate(over="ignore", invalid="ignore"):
         full = float(np.max(np.abs(a - a.conj().T)))
-    with mock.patch.object(arrangement, "_HERMITIAN_BLOCK", block):
+    with mock.patch.object(arrangement, "_BLOCK_ENTRIES", block):
         check = arrangement._structural_checks(a)[0]
     assert check.name == "hermitian"
     assert check.residual.hex() == full.hex()
@@ -68,23 +68,21 @@ def test_blocked_hermiticity_residual_is_the_full_maximum_bit_for_bit(n, kind, b
     assert (check.residual == np.inf) == (kind == "huge")
 
 
-def full_draw_columns(dim, rank, rng):
-    """The Haar columns as drawn before: the full complex Gaussian, then the QR of its first columns."""
+def full_draw(dim, rng):
+    """A Haar unitary drawn the plain way: the complex Gaussian a + 1j*b, its QR, then the phase fix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z[:, :rank])
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-@pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (7, 3), (64, 64), (65, 1), (200, 199), (200, 200)])
-def test_haar_columns_match_the_full_draw_bit_for_bit(dim, rank):
-    ours, theirs = make_rng(dim + rank), make_rng(dim + rank)
-    cols = _haar_columns(dim, rank, ours)
-    assert cols.shape == (dim, rank)
-    assert cols.tobytes() == full_draw_columns(dim, rank, theirs).tobytes()
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 65, 200])
+def test_random_unitary_is_the_full_draw_bit_for_bit(dim):
+    ours, theirs = make_rng(dim), make_rng(dim)
+    u = qlab.random_unitary(dim, ours)
+    assert u.shape == (dim, dim)
+    assert u.tobytes() == full_draw(dim, theirs).tobytes()
     assert ours.normal(size=4).tobytes() == theirs.normal(size=4).tobytes()  # the same draws were made
-    if rank == dim:
-        assert qlab.random_unitary(dim, 5).tobytes() == full_draw_columns(dim, dim, make_rng(5)).tobytes()
 
 
 N = 1024
@@ -310,7 +308,7 @@ def full_product_residual(ea, cut):
     return float(np.max(np.abs(arranged.alpha.entries - _kron(left, right))))
 
 
-@pytest.mark.parametrize("rows", [None, 1, 5, 7], ids=["block", "1", "5", "7"])
+@pytest.mark.parametrize("rows", [None, 1, 5, 7, 20], ids=["block", "1", "5", "7", "20"])
 @pytest.mark.parametrize("counts, left", [
     ((2, 9, 3), (1,)),  # a left side of one small screen
     ((9, 3, 2), (1, 2)),  # a right side of one small screen
@@ -321,19 +319,30 @@ def full_product_residual(ea, cut):
     ((4, 4, 16), (1, 3)),  # interleaved cuts that trace a screen of 9 or more detectors, where a partial
     ((16, 3, 9), (1, 3)),  # trace of the input could sum in another order than one of the reordered copy
     ((12, 10), (2,)),
+    ((2,) * 10, tuple(range(1, 10))),  # N = 1024, m = 2: blocks of 32 whole rows of the left marginal
+    ((11, 2, 3, 5), (1, 2, 3)),  # N = 330, m = 5: 66 left rows, in 17 uneven blocks of 3 or 4 at 20 rows
 ])
 def test_blocked_product_residual_is_the_full_kron_residual(counts, left, rows):
     shape = configuration(*counts)
     n = shape.dimension
     cut = qlab.Bipartition.split(left, len(counts))
-    block = entanglement._PRODUCT_BLOCK if rows is None else rows * n
+    block = _BLOCK_ENTRIES if rows is None else rows * n
     ancilla = qlab.random_state_vector(counts[-1], n)
     product = qlab.extend_arrangement(qlab.random_arrangement(configuration(*counts[:-1]), n, terms=2), counts[-1], ancilla)
     for ea in (qlab.random_arrangement(shape, n + 1, terms=2), product):
-        with mock.patch.object(entanglement, "_PRODUCT_BLOCK", block):
+        with mock.patch.object(entanglement, "_BLOCK_ENTRIES", block):
             passed, residual = qlab.is_product_across(ea, cut)
         assert residual.hex() == full_product_residual(ea, cut).hex()
         assert passed == (residual <= qlab.tolerances.PRODUCT_TOL)
+
+
+def test_a_small_right_marginal_shares_its_blocks_across_whole_left_rows(large):
+    shape, ea = large
+    cut = qlab.Bipartition.split(range(1, 10), 10)  # a right marginal of 2 rows under a block target of 64
+    calls = []
+    with mock.patch.object(entanglement, "_kron", lambda a, b: calls.append(len(a)) or _kron(a, b)):
+        qlab.is_product_across(ea, cut)
+    assert len(calls) <= 16 and sum(calls) == 512  # one left row per block made 512 blocks of 2 rows
 
 
 def test_a_linalg_large_pass_holds_less_than_six_full_arrays():

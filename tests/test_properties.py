@@ -211,21 +211,20 @@ def test_valuation_bound_covers_the_sampled_oracle_at_every_rank(kind, counts, s
     assert report.valuation_residual >= max(gaps) - VALUATION_SLACK
 
 
-@pytest.mark.parametrize("rank", range(1, 9))
-def test_random_projector_matches_full_qr_route(rank):
+@pytest.mark.parametrize("dim, rank", [(8, rank) for rank in range(1, 9)] + [(200, 100), (200, 199)])
+def test_random_projector_matches_full_qr_route(dim, rank):
     for seed in range(5):
-        p = qlab.random_projector(8, rank, qlab.make_rng(seed))
-        assert np.max(np.abs(p - loop_random_projector(8, rank, qlab.make_rng(seed)))) <= 1e-13
+        p = qlab.random_projector(dim, rank, qlab.make_rng(seed))
+        assert p.tobytes() == loop_random_projector(dim, rank, qlab.make_rng(seed)).tobytes()
 
 
 @pytest.mark.parametrize("rank", (1, 5, 8))
-def test_haar_columns_leave_the_stream_where_random_unitary_does(rank):
-    thin, full = qlab.make_rng(11), qlab.make_rng(11)
-    cols = qlab.rand._haar_columns(8, rank, thin)
-    u = qlab.random_unitary(8, full)
-    assert cols.shape == (8, rank)
-    assert np.max(np.abs(cols - u[:, :rank])) <= 1e-13
-    assert thin.random() == full.random()
+def test_random_projector_leaves_the_stream_where_random_unitary_does(rank):
+    projector, full = qlab.make_rng(11), qlab.make_rng(11)
+    p = qlab.random_projector(8, rank, projector)
+    u = qlab.random_unitary(8, full)[:, :rank]
+    assert p.tobytes() == (u @ u.conj().T).tobytes()
+    assert projector.random() == full.random()
 
 
 # The file codec against the record-by-record loop_* oracles: same bytes out,
